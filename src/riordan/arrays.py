@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OrderError, PairInvariantError, ProprietyError
-from .series import TruncSeries, _mul
+from .series import TruncSeries, _mul, compose_many
 
 SUBGROUP_KINDS = ("appell", "bell", "associated", "derivative", "hitting_time")
 
@@ -132,8 +132,8 @@ class RiordanPair:
             return NotImplemented
         self._require_proper("group multiplication")
         other._require_proper("group multiplication")
-        return RiordanPair(self.g * other.g.compose(self.f),
-                           other.f.compose(self.f))
+        g, f = compose_many([other.g, other.f], self.f)
+        return RiordanPair(self.g * g, f)
 
     def inverse(self) -> RiordanPair:
         self._require_proper("inversion")
@@ -171,8 +171,8 @@ class RiordanPair:
     def _square_failure(self, F: TruncSeries, n: int) -> int | None:
         g = self.g.truncate(n)
         F = F.truncate(n)
-        gg = g * g.compose(F)
-        FF = F.compose(F)
+        gF, FF = compose_many([g, F], F)
+        gg = g * gF
         one = TruncSeries.one(n)
         zz = TruncSeries.z(n)
         for i in range(n):

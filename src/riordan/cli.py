@@ -21,6 +21,7 @@ from .constructions import (
 )
 from .errors import (
     ExprSyntaxError,
+    OrderError,
     PreconditionError,
     RiordanError,
     UnknownNameError,
@@ -134,6 +135,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_az(args) -> int:
+    if args.terms < 1:
+        raise OrderError(f"--terms must be at least 1, got {args.terms}")
     pair = _pair_from_args(args, args.g, args.f)
     report = extract_az(pair, args.terms)
     a = [rational_str(c) for c in report.a_seq]

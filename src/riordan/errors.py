@@ -35,6 +35,10 @@ class SqrtError(SeriesError):
     """Constant term is not the square of a nonzero rational."""
 
 
+class InexactScalarError(SeriesError):
+    """A float was given where an exact coefficient is required."""
+
+
 class OrderError(SeriesError):
     """More coefficients or rows requested than the truncation order holds."""
 

@@ -36,6 +36,11 @@ class SeqReport:
             raise DegenerateZError("z_seq must start with a nonzero term")
 
 
+def _require_terms(terms: int) -> None:
+    if terms < 1:
+        raise OrderError(f"terms must be at least 1, got {terms}")
+
+
 def production_matrix(pair: RiordanPair, rows: int) -> Matrix:
     """rows x rows block of L^-1 times (L with its first row removed).
 
@@ -67,6 +72,7 @@ def production_matrix(pair: RiordanPair, rows: int) -> Matrix:
 
 def az_from_production(pair: RiordanPair, terms: int) -> SeqReport:
     """Z as column 0 and A as column 1 of the production matrix."""
+    _require_terms(terms)
     P = production_matrix(pair, terms)
     z_seq = tuple(P[j][0] for j in range(terms))
     a_seq = tuple(P[j][1] for j in range(terms))
@@ -75,6 +81,7 @@ def az_from_production(pair: RiordanPair, terms: int) -> SeqReport:
 
 def az_from_series(pair: RiordanPair, terms: int) -> SeqReport:
     """A(z) = z/fbar(z) and Z(z) = (1 - g(0)/g(fbar(z)))/fbar(z)."""
+    _require_terms(terms)
     if not pair.proper:
         raise ProprietyError("A/Z extraction requires a proper pair")
     if terms + 1 > pair.available_order:
@@ -100,6 +107,7 @@ def a_sequence(pair: RiordanPair, terms: int = 8) -> tuple[Fraction, ...]:
     Still computed both ways (z/fbar and production column 1) and
     cross-checked.
     """
+    _require_terms(terms)
     if not pair.proper:
         raise ProprietyError("A extraction requires a proper pair")
     if terms + 1 > pair.available_order:

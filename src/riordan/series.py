@@ -16,6 +16,7 @@ from typing import Iterable, Union
 from .errors import (
     CompositionError,
     DivisionByZeroSeries,
+    InexactScalarError,
     OrderError,
     ReversionError,
     SqrtError,
@@ -31,6 +32,14 @@ _ONE = Fraction(1)
 def rational_str(x: Fraction) -> str:
     """Render exactly, "p/q" or plain "p" for integers."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _exact(c) -> Fraction:
+    if isinstance(c, float):
+        raise InexactScalarError(
+            f"float {c!r} is not exact; pass an int, a Fraction or a 'p/q' string"
+        )
+    return c if type(c) is Fraction else Fraction(c)
 
 
 def _sqrt_fraction(c: Fraction) -> Fraction | None:
@@ -75,13 +84,61 @@ def _div(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
     return out
 
 
-def _compose(outer: list[Fraction], inner: list[Fraction], n: int) -> list[Fraction]:
-    # requires inner[0] == 0; Horner evaluation, everything mod z^n
-    out = [_ZERO] * n
-    for c in reversed(outer):
-        out = _mul(out, inner, n)
-        out[0] += c
-    return out
+def _compose_many(outers: list[list[Fraction]], inner: list[Fraction],
+                  n: int) -> list[list[Fraction]]:
+    """Each outer(inner) mod z^n, all sharing one table of powers of inner.
+
+    Baby-step/giant-step (Brent & Kung 1978, section 2.1): with k about the
+    square root of the outer length, outer = sum_j B_j(inner) * inner^(jk),
+    where block B_j holds coefficients jk..jk+k-1.  The baby powers
+    inner^0..inner^(k-1) and the giant step inner^k are built once; each
+    block is a linear combination of baby powers and the blocks are joined
+    by Horner's rule in the giant step, so an outer costs about 2*sqrt(n)
+    series products instead of n.  Requires inner[0] == 0.
+    """
+    inner = inner[:n]
+    v = next((i for i, c in enumerate(inner) if c), None)
+    if v is None:
+        return [[o[0]] + [_ZERO] * (n - 1) for o in outers]
+    # outer[i] multiplies a power of valuation i*v, which vanishes once i*v >= n
+    m = min(-(-n // v), max(len(o) for o in outers))
+    outers = [o[:m] for o in outers]
+    k = isqrt(m - 1) + 1
+    powers = [[_ONE] + [_ZERO] * (n - 1)]
+    for _ in range(1, k):
+        powers.append(_mul(powers[-1], inner, n))
+    giant = _mul(powers[-1], inner, n) if m > k else None
+    results = []
+    for outer in outers:
+        acc: list[Fraction] = []
+        for start in reversed(range(0, len(outer), k)):
+            # this partial sum is multiplied by inner^start, of valuation
+            # start*v, so it is only needed mod z^(n - start*v)
+            prec = n - start * v
+            block = _mul(acc, giant, prec) if start + k < len(outer) else [_ZERO] * prec
+            for i, c in enumerate(outer[start:start + k]):
+                if c:
+                    power = powers[i]
+                    for t in range(i * v, prec):
+                        if power[t]:
+                            block[t] += c * power[t]
+            acc = block
+        results.append(acc + [_ZERO] * (n - len(acc)))
+    return results
+
+
+def compose_many(outers: list[TruncSeries], inner: TruncSeries) -> list[TruncSeries]:
+    """[outer.compose(inner) for outer in outers], sharing one power table.
+
+    Each result keeps the min-order rule of ``compose``: it is known to
+    min(outer.order, inner.order) coefficients.
+    """
+    if inner.coeffs[0] != 0:
+        raise CompositionError("inner series must have zero constant term")
+    orders = [min(o.order, inner.order) for o in outers]
+    n = max(orders)
+    outs = _compose_many([list(o.coeffs[:n]) for o in outers], list(inner.coeffs[:n]), n)
+    return [TruncSeries(out[:m]) for out, m in zip(outs, orders)]
 
 
 class TruncSeries:
@@ -92,7 +149,7 @@ class TruncSeries:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(_exact(c) for c in coeffs)
         if not cs:
             raise OrderError("a series needs at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -127,7 +184,7 @@ class TruncSeries:
         """
         if order < 1:
             raise OrderError(f"order must be positive, got {order}")
-        cs = [Fraction(c) for c in coeffs][:order]
+        cs = [_exact(c) for c in coeffs][:order]
         cs += [_ZERO] * (order - len(cs))
         return cls(cs)
 
@@ -173,7 +230,7 @@ class TruncSeries:
     def _coerce(self, other) -> TruncSeries | None:
         if isinstance(other, TruncSeries):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, float)):
             return TruncSeries.constant(other, self.order)
         return None
 
@@ -243,21 +300,27 @@ class TruncSeries:
         return o / self
 
     def __pow__(self, n: int) -> TruncSeries:
+        """Square-and-multiply, so the cost grows with log(n), not n."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("series powers take a nonnegative integer exponent")
+        v = self.valuation()
+        if n and (v is None or v * n >= self.order):
+            return TruncSeries.zero(self.order)
         out = TruncSeries.one(self.order)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # ---- structural operations ----
 
     def compose(self, inner: TruncSeries) -> TruncSeries:
         """self(inner(z)), requiring inner(0) = 0."""
-        if inner.coeffs[0] != 0:
-            raise CompositionError("inner series must have zero constant term")
-        n = min(self.order, inner.order)
-        return TruncSeries(_compose(list(self.coeffs[:n]), list(inner.coeffs[:n]), n))
+        return compose_many([self], inner)[0]
 
     def reverse(self) -> TruncSeries:
         """Compositional inverse: the series r with self(r(z)) = z.
@@ -280,9 +343,8 @@ class TruncSeries:
         while prec < n:
             prec = min(2 * prec, n)
             g = g + [_ZERO] * (prec - len(g))
-            fg = _compose(a, g, prec)
+            fg, dfg = _compose_many([a[:prec], da[:prec]], g, prec)
             fg[1] -= 1
-            dfg = _compose(da, g, prec)
             corr = _div(fg, dfg, prec)
             g = [gi - ci for gi, ci in zip(g, corr)]
         return TruncSeries(g[:n])

@@ -34,6 +34,20 @@ def convolve(a, b) -> list[Fraction]:
     return out
 
 
+def compose_naive(outer, inner, n: int) -> list[Fraction]:
+    """sum_i outer[i] * inner^i mod z^n, one plain convolution per power.
+
+    Every outer coefficient is used, however long the outer is.
+    """
+    out = [Fraction(0)] * n
+    power = [Fraction(1)]
+    for c in outer:
+        for t, p in enumerate(power[:n]):
+            out[t] += Fraction(c) * p
+        power = convolve(power, inner)[:n]
+    return out
+
+
 def tri_product(a_rows, b_rows) -> list[list[Fraction]]:
     """Row-by-column product of lower-triangular row lists."""
     n = min(len(a_rows), len(b_rows))

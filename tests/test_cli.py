@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -44,6 +46,22 @@ def test_show_lucas_pi_closed_form(capsys):
                        "--rows", "9", "--format", "csv")
     assert code == 0
     assert out.splitlines()[8] == "47,967294,447998,136436,30792,5054,558,36,1"
+
+
+def test_show_huge_power_is_fast_and_binomial(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "show", "(1+z)^200000", "z")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    rows = [[int(c) for c in line.split()] for line in out.splitlines()]
+    assert rows == [[comb(200000, n - k) for k in range(n + 1)] for n in range(10)]
+
+
+def test_show_rejects_decimal_literal(capsys):
+    code, out, err = run(capsys, "show", "1/(1-0.5*z)", "z")
+    assert code == 2
+    assert out == ""
+    assert "unexpected character '.'" in err
 
 
 def test_show_stretched_warns(capsys):
@@ -119,6 +137,15 @@ def test_az_terms_flag_and_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"a_seq": ["1", "1", "0"], "z_seq": ["1", "0", "0"], "terms": 3}
+
+
+@pytest.mark.parametrize("terms", ["0", "-2"])
+def test_az_rejects_nonpositive_terms(capsys, terms):
+    code, out, err = run(capsys, "az", *PASCAL, "--terms", terms)
+    assert code == 3
+    assert out == ""
+    assert f"--terms must be at least 1, got {terms}" in err
+    assert "reversion" not in err
 
 
 def test_az_rejects_stretched(capsys):

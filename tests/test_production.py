@@ -7,6 +7,7 @@ import pytest
 
 from riordan import (
     DegenerateZError,
+    OrderError,
     ProprietyError,
     RiordanPair,
     TruncSeries,
@@ -129,6 +130,15 @@ def test_extract_convolved_fibonacci_pi():
 def test_extract_identity_degenerate():
     with pytest.raises(DegenerateZError):
         extract_az(RiordanPair.identity(N), 6)
+
+
+@pytest.mark.parametrize("extract", [az_from_series, az_from_production,
+                                     a_sequence, extract_az])
+@pytest.mark.parametrize("terms", [0, -1])
+def test_extraction_rejects_nonpositive_terms(extract, terms):
+    pair = RiordanPair(TruncSeries.one(N), TruncSeries.z(N))
+    with pytest.raises(OrderError, match=f"terms must be at least 1, got {terms}"):
+        extract(pair, terms)
 
 
 def test_extract_rejects_stretched():

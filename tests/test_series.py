@@ -1,5 +1,6 @@
 """Truncated power series arithmetic: worked examples, errors, ring laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,17 @@ from hypothesis import strategies as st
 from riordan import (
     CompositionError,
     DivisionByZeroSeries,
+    InexactScalarError,
     OrderError,
     ReversionError,
+    RiordanError,
     SqrtError,
     TruncSeries,
     ValuationError,
 )
+from riordan.series import _compose_many, compose_many
 
-from conftest import longdiv
+from conftest import compose_naive, longdiv
 
 N = 16
 
@@ -303,3 +307,119 @@ def test_integer_coefficients_closed_under_ring_ops(a, b):
     sa, sb = TruncSeries(a), TruncSeries(b)
     for result in (sa + sb, sa - sb, sa * sb):
         assert all(c.denominator == 1 for c in result.coeffs)
+
+
+# ---- composition kernel against the oracle ----
+
+# on, just below and just above the baby-step/giant-step block boundaries k^2
+KERNEL_ORDERS = (1, 2, 3, 4, 5, 15, 16, 17, 48)
+
+
+def _outer(rng, length):
+    # denominators 2^a, coprime to the inner's 3^b
+    return [Fraction(rng.randint(-4, 4), 2 ** rng.randint(0, 3)) for _ in range(length)]
+
+
+def _inner(rng, length, valuation=1):
+    tail = [Fraction(rng.randint(-4, 4), 3 ** rng.randint(0, 2))
+            for _ in range(max(length - valuation, 0))]
+    if tail:
+        tail[0] = tail[0] or Fraction(1, 3)
+    return ([Fraction(0)] * valuation + tail)[:length]
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_compose_many_matches_naive(n):
+    rng = random.Random(n)
+    for valuation in (1, 2, 3):
+        inner = _inner(rng, n, valuation)
+        # one outer longer than n, one of exactly n, one shorter
+        outers = [_outer(rng, length) for length in (n + 3, n, max(n // 2, 1))]
+        expected = [compose_naive(o, inner, n) for o in outers]
+        for count in (1, 2, 3):
+            assert _compose_many(outers[:count], inner, n) == expected[:count]
+        assert _compose_many(outers[::-1], inner, n) == expected[::-1]
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_compose_many_zero_inner_keeps_constant_term(n):
+    rng = random.Random(100 + n)
+    outers = [_outer(rng, n), _outer(rng, 1)]
+    zero = [Fraction(0)] * n
+    expected = [[o[0]] + [Fraction(0)] * (n - 1) for o in outers]
+    assert _compose_many(outers, zero, n) == expected
+    assert [compose_naive(o, zero, n) for o in outers] == expected
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_compose_matches_naive_with_mixed_orders(n):
+    rng = random.Random(200 + n)
+    for outer_order, inner_order in ((n, n), (n, n + 2), (n + 2, n), (max(n - 3, 1), n)):
+        outer = TruncSeries(_outer(rng, outer_order))
+        inner = TruncSeries(_inner(rng, inner_order, 1 + inner_order % 2))
+        m = min(outer_order, inner_order)
+        assert outer.compose(inner).coeffs == tuple(compose_naive(outer.coeffs, inner.coeffs, m))
+
+
+def test_compose_many_keeps_each_min_order():
+    rng = random.Random(7)
+    inner = TruncSeries(_inner(rng, 16))
+    outers = [TruncSeries(_outer(rng, order)) for order in (5, 16, 20)]
+    got = compose_many(outers, inner)
+    assert [s.order for s in got] == [5, 16, 16]
+    assert got == [o.compose(inner) for o in outers]
+    for o, s in zip(outers, got):
+        assert list(s.coeffs) == compose_naive(o.coeffs, inner.coeffs, s.order)
+
+
+def test_compose_many_rejects_nonzero_constant():
+    with pytest.raises(CompositionError):
+        compose_many([poly([1, 1]), poly([0, 1])], poly([1, 1]))
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS[1:])
+def test_reverse_matches_naive_composition(n):
+    rng = random.Random(300 + n)
+    f = TruncSeries(_inner(rng, n))
+    fbar = f.reverse()
+    z = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 2)
+    assert compose_naive(f.coeffs, fbar.coeffs, n) == z
+    assert compose_naive(fbar.coeffs, f.coeffs, n) == z
+
+
+# ---- powers ----
+
+@pytest.mark.parametrize("n", (5, 16))
+def test_pow_matches_repeated_product(n):
+    rng = random.Random(400 + n)
+    s = TruncSeries(_outer(rng, n))
+    expected = TruncSeries.one(n)
+    for k in range(12):
+        assert s ** k == expected
+        expected = expected * s
+
+
+def test_pow_past_the_order_is_zero():
+    assert TruncSeries.z(N) ** N == TruncSeries.zero(N)
+    assert poly([0, 0, 1, 1]) ** (N // 2) == TruncSeries.zero(N)
+    assert poly([0, 0, 1, 1]) ** (N // 2 - 1) == poly([0] * (N - 2) + [1, 7])
+    assert TruncSeries.zero(N) ** 3 == TruncSeries.zero(N)
+    assert TruncSeries.zero(N) ** 0 == TruncSeries.one(N)
+
+
+# ---- exact inputs only ----
+
+@pytest.mark.parametrize("build", [
+    lambda: TruncSeries([0.1]),
+    lambda: TruncSeries([1, Fraction(1, 2), 2.0]),
+    lambda: TruncSeries.polynomial([1, 0.5], 4),
+    lambda: TruncSeries.constant(0.5, 4),
+    lambda: poly([1, 1]) * 0.5,
+    lambda: 0.5 + poly([1, 1]),
+    lambda: 1.0 - poly([1, 1]),
+    lambda: poly([1, 1]) / 2.0,
+])
+def test_floats_are_rejected(build):
+    with pytest.raises(InexactScalarError, match="not exact"):
+        build()
+    assert issubclass(InexactScalarError, RiordanError)
