@@ -1,89 +1,50 @@
 #!/usr/bin/env python3
 """Regenerate every bundled reference matrix and sequence from scratch.
 
-Prints each array with its construction recipe, the row sums for the
-stochastic pairs, and the A/Z sequence prefixes, all in exact rationals.
+Each table is one ``riordan`` command, run through the CLI and printed by
+its renderer: the arrays with their recipes, the row sums of the stochastic
+pairs, and the A/Z sequence prefixes, all in exact rationals.
 Run as ``python scripts/reproduce_tables.py [--order N]``.
 """
 
 import argparse
+import sys
 
-from riordan import (
-    RiordanPair,
-    TruncSeries,
-    a_sequence,
-    extract_az,
-    family_from_f,
-    named_series,
-    power_pseudo,
-    pseudo_from_g,
-    rational_str,
-    stochastic_from_g,
+from riordan import cli
+
+PASCAL = ["1/(1-z)", "z/(1-z)"]
+# the modified Lucas g with its leading 1 removed, and its stochastic f
+REDUCED_LUCAS = ["(1+2*z)/(1-z-z^2)", "(-2*z+z^2)/(1-z-z^2)"]
+
+TABLES = (
+    ("Pascal pair (1/(1-z), z/(1-z))", ["show", *PASCAL, "--rows", "7"]),
+    ("inverse of the Pascal pair", ["inv", *PASCAL, "--rows", "7"]),
+    ("stochastic array from the modified Lucas numbers", ["stochastic", "lucas"]),
+    ("stochastic matrix from (1+2z)/(1-z-z^2)", ["stochastic", REDUCED_LUCAS[0]]),
+    ("A and Z of that stochastic matrix", ["az", *REDUCED_LUCAS]),
+    ("modified Lucas pseudo-involution", ["pseudo", "from-g", "lucas", "--rows", "9"]),
+    ("A and Z of the Lucas pseudo-involution", ["az", "lucas", "lucas_f"]),
+    ("convolved Fibonacci pseudo-involution (n=2)",
+     ["pseudo", "power", "fib", "fib_f", "2", "--rows", "9"]),
+    ("A and Z of the convolved Fibonacci pseudo-involution", ["az", "cfib2", "fib_f"]),
+    ("the four pseudo-involutions sharing the Fibonacci f", ["pseudo", "family", "fib_f"]),
+    # A depends on f alone; the Bell member's Z is not degenerate
+    ("the A sequence they share, with the Bell member's Z", ["az", "fib_f/z", "fib_f"]),
 )
-from riordan.constructions import FAMILY_KINDS
 
 
-def show(title: str, pair: RiordanPair, rows: int, row_sums: bool = False) -> None:
-    print(f"== {title} ==")
-    tri = pair.expand(rows)
-    cells = [[rational_str(c) for c in row] for row in tri.rows]
-    if row_sums:
-        width = max(len(row) for row in cells)
-        cells = [row + [""] * (width - len(row)) + ["|", rational_str(s)]
-                 for row, s in zip(cells, tri.row_sums())]
-    widths: dict[int, int] = {}
-    for row in cells:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths.get(k, 0), len(cell))
-    for row in cells:
-        print("  " + "  ".join(cell.rjust(widths[k]) for k, cell in enumerate(row)))
-    print()
-
-
-def show_az(title: str, pair: RiordanPair, terms: int = 8) -> None:
-    report = extract_az(pair, terms)
-    print(f"   {title} A: {', '.join(rational_str(c) for c in report.a_seq)}")
-    print(f"   {title} Z: {', '.join(rational_str(c) for c in report.z_seq)}")
-    print()
-
-
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--order", type=int, default=32)
-    args = parser.parse_args()
-    order = args.order
-
-    one = TruncSeries.one(order)
-    z = TruncSeries.z(order)
-    pascal = RiordanPair(1 / (one - z), z / (one - z))
-    show("Pascal pair (1/(1-z), z/(1-z))", pascal, 7)
-    show("inverse of the Pascal pair", pascal.inverse(), 7)
-
-    lucas = named_series("lucas", order)
-    show("stochastic array from the modified Lucas numbers", stochastic_from_g(lucas),
-         10, row_sums=True)
-
-    reduced = TruncSeries.polynomial([1, 2], order) / TruncSeries.polynomial([1, -1, -1], order)
-    slm = stochastic_from_g(reduced)
-    show("stochastic matrix from (1+2z)/(1-z-z^2)", slm, 10, row_sums=True)
-    show_az("stochastic matrix", slm)
-
-    lpi = pseudo_from_g(lucas)
-    show("modified Lucas pseudo-involution", lpi, 9)
-    show_az("Lucas pseudo-involution", lpi)
-
-    cfib2 = power_pseudo(pseudo_from_g(named_series("fib", order)), 2)
-    show("convolved Fibonacci pseudo-involution (n=2)", cfib2, 9)
-    show_az("convolved Fibonacci", cfib2)
-
-    f = pseudo_from_g(named_series("fib", order)).f
-    print("the shared Fibonacci-type f:",
-          ", ".join(rational_str(c) for c in f.coeffs[:10]), "...\n")
-    for kind, member in zip(FAMILY_KINDS, family_from_f(f)):
-        show(f"{kind} pseudo-involution sharing that f", member, 10)
-    shared = a_sequence(family_from_f(f)[0], 8)
-    print("   shared A sequence:", ", ".join(rational_str(c) for c in shared))
+    order = str(parser.parse_args().order)
+    for title, argv in TABLES:
+        print(f"== {title} ==")
+        code = cli.main([*argv, "--order", order])
+        if code:
+            return code
+        print()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -15,7 +15,9 @@ from fractions import Fraction
 from .errors import OrderError, PairInvariantError, ProprietyError
 from .series import TruncSeries, _mul, compose_many
 
-SUBGROUP_KINDS = ("appell", "bell", "associated", "derivative", "hitting_time")
+# the subgroup kinds seeded by f, in the order family_from_f returns them;
+# the fifth kind, appell, is seeded by g
+FAMILY_KINDS = ("associated", "bell", "derivative", "hitting_time")
 
 
 @dataclass(frozen=True)
@@ -46,17 +48,6 @@ class TriMatrix:
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, Fraction(0)) for row in self.rows)
-
-    def matmul(self, other: TriMatrix) -> TriMatrix:
-        n = min(self.n_rows, other.n_rows)
-        out = []
-        for i in range(n):
-            out.append(tuple(
-                sum((self.rows[i][j] * other.rows[j][k] for j in range(k, i + 1)),
-                    Fraction(0))
-                for k in range(i + 1)
-            ))
-        return TriMatrix(tuple(out))
 
 
 class RiordanPair:
@@ -212,7 +203,7 @@ def subgroup_element(kind: str, seed: TruncSeries) -> RiordanPair:
         if seed.coeffs[0] == 0:
             raise ProprietyError("appell seed g needs a nonzero constant term")
         return RiordanPair(seed, TruncSeries.z(seed.order))
-    if kind not in SUBGROUP_KINDS:
+    if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown subgroup kind {kind!r}")
     f = seed
     if f.coeffs[0] != 0 or f.order < 2 or f.coeffs[1] == 0:

@@ -11,9 +11,8 @@ import argparse
 import json
 import sys
 
-from .arrays import RiordanPair, TriMatrix
+from .arrays import FAMILY_KINDS, RiordanPair, TriMatrix
 from .constructions import (
-    FAMILY_KINDS,
     family_from_f,
     power_pseudo,
     pseudo_from_g,
@@ -81,10 +80,10 @@ def _print_triangle(tri: TriMatrix, fmt: str, g_text: str, f: TruncSeries,
         print(_table(cells))
 
 
-def _print_coeffs(coeffs, fmt: str, order: int, key: str = "coeffs") -> None:
+def _print_coeffs(coeffs, fmt: str, order: int) -> None:
     strs = [rational_str(c) for c in coeffs]
     if fmt == "json":
-        print(json.dumps({key: strs, "order": order}))
+        print(json.dumps({"coeffs": strs, "order": order}))
     elif fmt == "csv":
         print(",".join(strs))
     else:

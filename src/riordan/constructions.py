@@ -9,21 +9,14 @@ involutions sharing an f whose negative has compositional order two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable
 
-from .arrays import RiordanPair, subgroup_element
+from .arrays import FAMILY_KINDS, RiordanPair, subgroup_element
 from .errors import OrderTwoError, PairInvariantError, PreconditionError
 from .series import TruncSeries
 
 
 # ---- named generating functions ----
-
-@dataclass(frozen=True)
-class NamedGF:
-    name: str
-    series: TruncSeries
-    description: str
-
 
 def _fib(order: int) -> TruncSeries:
     return 1 / TruncSeries.polynomial([1, -1, -1], order)
@@ -47,13 +40,13 @@ def _lucas_f(order: int) -> TruncSeries:
     return pseudo_from_g(_lucas(order)).f
 
 
-_REGISTRY: dict[str, tuple[str, object]] = {
-    "fib": ("Fibonacci numbers, 1/(1-z-z^2)", _fib),
-    "lucas": ("modified Lucas numbers, (1+z^2)/(1-z-z^2)", _lucas),
-    "cfib2": ("convolved Fibonacci numbers, (1/(1-z-z^2))^2", _cfib(2)),
-    "cfib3": ("convolved Fibonacci numbers, (1/(1-z-z^2))^3", _cfib(3)),
-    "fib_f": ("the f pairing with fib in its pseudo-involution", _fib_f),
-    "lucas_f": ("the f pairing with lucas in its pseudo-involution", _lucas_f),
+_REGISTRY: dict[str, Callable[[int], TruncSeries]] = {
+    "fib": _fib,          # Fibonacci numbers, 1/(1-z-z^2)
+    "lucas": _lucas,      # modified Lucas numbers, (1+z^2)/(1-z-z^2)
+    "cfib2": _cfib(2),    # convolved Fibonacci numbers, (1/(1-z-z^2))^2
+    "cfib3": _cfib(3),    # convolved Fibonacci numbers, (1/(1-z-z^2))^3
+    "fib_f": _fib_f,      # the f pairing with fib in its pseudo-involution
+    "lucas_f": _lucas_f,  # the f pairing with lucas in its pseudo-involution
 }
 
 
@@ -62,13 +55,7 @@ def gf_names() -> tuple[str, ...]:
 
 
 def named_series(name: str, order: int) -> TruncSeries:
-    description, build = _REGISTRY[name]
-    return build(order)
-
-
-def named_gf(name: str, order: int) -> NamedGF:
-    description, build = _REGISTRY[name]
-    return NamedGF(name=name, series=build(order), description=description)
+    return _REGISTRY[name](order)
 
 
 # ---- stochastic arrays ----
@@ -114,15 +101,11 @@ def power_pseudo(pair: RiordanPair, n: int) -> RiordanPair:
 
 # ---- pseudo-involution families from f ----
 
-def has_comp_order_two(F: TruncSeries, order: int | None = None) -> bool:
-    """F(F(z)) = z modulo z^order (available order when omitted)."""
+def has_comp_order_two(F: TruncSeries) -> bool:
+    """F(F(z)) = z to the available order."""
     if F.coeffs[0] != 0 or F.order < 2 or F.coeffs[1] == 0:
         return False
-    n = F.order if order is None else min(order, F.order)
-    return F.compose(F).matches(TruncSeries.z(n), n)
-
-
-FAMILY_KINDS = ("associated", "bell", "derivative", "hitting_time")
+    return F.compose(F).matches(TruncSeries.z(F.order), F.order)
 
 
 def family_from_f(f: TruncSeries) -> list[RiordanPair]:

@@ -23,6 +23,10 @@ from .series import TruncSeries
 
 GFExpr = Union["IntLit", "Var", "NameRef", "Neg", "BinOp", "Pow", "Sqrt"]
 
+# brackets may nest this deep; each level costs the recursive-descent parser
+# four stack frames, so deeper input would exhaust the interpreter's stack
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class IntLit:
@@ -102,6 +106,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.names = names
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -116,6 +121,18 @@ class _Parser:
         if tok.kind != "op" or tok.text != text:
             raise ExprSyntaxError(f"expected {text!r}", tok.offset)
         self.take()
+
+    def bracketed(self) -> GFExpr:
+        tok = self.peek()
+        self.expect_op("(")
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"brackets nested deeper than {MAX_DEPTH} levels",
+                                  tok.offset)
+        inner = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
 
     def expr(self) -> GFExpr:
         node = self.term()
@@ -156,18 +173,12 @@ class _Parser:
             if tok.text == "z":
                 return Var()
             if tok.text == "sqrt":
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return Sqrt(inner)
+                return Sqrt(self.bracketed())
             if tok.text not in self.names:
                 raise UnknownNameError(f"unknown series name {tok.text!r}", tok.offset)
             return NameRef(tok.text)
         if tok.kind == "op" and tok.text == "(":
-            self.take()
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
+            return self.bracketed()
         raise ExprSyntaxError("expected an expression", tok.offset)
 
 

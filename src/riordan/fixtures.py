@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Any, Callable, Iterator
 
 from .arrays import RiordanPair, subgroup_element
 from .constructions import named_series, power_pseudo, pseudo_from_g, stochastic_from_g
@@ -19,125 +19,81 @@ from .series import TruncSeries, rational_str
 
 PairBuilder = Callable[[int], RiordanPair]
 SeriesBuilder = Callable[[int], TruncSeries]
+Comparison = Iterator[tuple[str, Any, Any]]
 
 
-# ---- check kinds ----
+# ---- comparisons: each yields (where, expected, computed) in check order ----
 
-@dataclass(frozen=True)
-class MatrixCheck:
-    """Leading rows of the expansion must equal the transcribed table."""
-    label: str
-    pair: PairBuilder
-    rows: tuple[tuple[int, ...], ...]
-
-    def run(self, order: int) -> str | None:
-        got = self.pair(order).expand(len(self.rows)).rows
-        for n, expected_row in enumerate(self.rows):
-            for k, expected in enumerate(expected_row):
-                if got[n][k] != expected:
-                    return (f"{self._tag}entry ({n},{k}): expected {expected}, "
-                            f"computed {rational_str(got[n][k])}")
-        return None
-
-    @property
-    def _tag(self) -> str:
-        return f"[{self.label}] " if self.label else ""
+def matrix(pair: PairBuilder, rows: tuple[tuple[int, ...], ...], order: int) -> Comparison:
+    """Leading rows of the expansion against the transcribed table."""
+    got = pair(order).expand(len(rows)).rows
+    for n, expected_row in enumerate(rows):
+        for k, expected in enumerate(expected_row):
+            yield f"entry ({n},{k})", expected, got[n][k]
 
 
-@dataclass(frozen=True)
-class AZCheck:
+def _terms(name: str, expected: tuple[str, ...], got) -> Comparison:
+    for j, text in enumerate(expected):
+        yield f"{name}[{j}]", Fraction(text), got[j]
+
+
+def a_and_z(pair: PairBuilder, seqs: tuple[tuple[str, ...], tuple[str, ...]],
+            order: int) -> Comparison:
     """A and Z prefixes from the cross-checked extraction."""
-    label: str
-    pair: PairBuilder
-    a_seq: tuple[str, ...]
-    z_seq: tuple[str, ...]
-
-    def run(self, order: int) -> str | None:
-        terms = max(len(self.a_seq), len(self.z_seq))
-        report = extract_az(self.pair(order), terms)
-        for name, expected, got in (("A", self.a_seq, report.a_seq),
-                                    ("Z", self.z_seq, report.z_seq)):
-            for j, text in enumerate(expected):
-                if got[j] != Fraction(text):
-                    return (f"{self._tag}{name}[{j}]: expected {text}, "
-                            f"computed {rational_str(got[j])}")
-        return None
-
-    _tag = MatrixCheck._tag
+    a_seq, z_seq = seqs
+    report = extract_az(pair(order), max(len(a_seq), len(z_seq)))
+    yield from _terms("A", a_seq, report.a_seq)
+    yield from _terms("Z", z_seq, report.z_seq)
 
 
-@dataclass(frozen=True)
-class ACheck:
+def a_only(pair: PairBuilder, a_seq: tuple[str, ...], order: int) -> Comparison:
     """A prefix alone, for pairs whose Z sequence is degenerate."""
-    label: str
-    pair: PairBuilder
-    a_seq: tuple[str, ...]
-
-    def run(self, order: int) -> str | None:
-        got = a_sequence(self.pair(order), len(self.a_seq))
-        for j, text in enumerate(self.a_seq):
-            if got[j] != Fraction(text):
-                return (f"{self._tag}A[{j}]: expected {text}, "
-                        f"computed {rational_str(got[j])}")
-        return None
-
-    _tag = MatrixCheck._tag
+    yield from _terms("A", a_seq, a_sequence(pair(order), len(a_seq)))
 
 
-@dataclass(frozen=True)
-class PseudoCheck:
-    label: str
-    pair: PairBuilder
-    order: int
-
-    def run(self, order: int) -> str | None:
-        failure = self.pair(order).pseudo_involution_failure(self.order)
-        if failure is not None:
-            return (f"{self._tag}pseudo-involution check failed at "
-                    f"coefficient {failure}")
-        return None
-
-    _tag = MatrixCheck._tag
+def pseudo(pair: PairBuilder, check_order: int, order: int) -> Comparison:
+    """The pseudo-involution conditions, to ``check_order`` coefficients."""
+    failure = pair(order).pseudo_involution_failure(check_order)
+    yield (f"pseudo-involution to order {check_order}", "holds",
+           "holds" if failure is None else f"fails at coefficient {failure}")
 
 
-@dataclass(frozen=True)
-class RowSumsCheck:
-    label: str
-    pair: PairBuilder
-    n_rows: int
+def row_sums(pair: PairBuilder, n_rows: int, order: int) -> Comparison:
+    """Every one of the leading ``n_rows`` rows sums to 1."""
+    sums = pair(max(order, n_rows)).expand(n_rows).row_sums()
+    for n, s in enumerate(sums):
+        yield f"row {n} sum", 1, s
 
-    def run(self, order: int) -> str | None:
-        sums = self.pair(max(order, self.n_rows)).expand(self.n_rows).row_sums()
-        for n, s in enumerate(sums):
-            if s != 1:
-                return f"{self._tag}row {n} sums to {rational_str(s)}, expected 1"
-        return None
 
-    _tag = MatrixCheck._tag
+def series_match(actual: SeriesBuilder, reference: tuple[SeriesBuilder, int],
+                 order: int) -> Comparison:
+    """Leading coefficients of two independently built series."""
+    expected, terms = reference
+    n = max(order, terms)
+    got, want = actual(n), expected(n)
+    for i in range(terms):
+        yield f"coefficient {i}", want.coeffs[i], got.coeffs[i]
+
+
+def _text(x) -> str:
+    return x if isinstance(x, str) else rational_str(x)
 
 
 @dataclass(frozen=True)
-class SeriesMatchCheck:
+class Check:
+    """``compare(build, reference, order)`` must yield no unequal triple."""
     label: str
-    actual: SeriesBuilder
-    expected: SeriesBuilder
-    terms: int
+    compare: Callable[[Any, Any, int], Comparison]
+    build: Callable[[int], Any]
+    reference: Any
 
     def run(self, order: int) -> str | None:
-        n = max(order, self.terms)
-        got = self.actual(n)
-        want = self.expected(n)
-        for i in range(self.terms):
-            if got.coeffs[i] != want.coeffs[i]:
-                return (f"{self._tag}coefficient {i}: expected "
-                        f"{rational_str(want.coeffs[i])}, computed "
-                        f"{rational_str(got.coeffs[i])}")
+        """The first mismatch, None when every compared value is equal."""
+        for where, expected, got in self.compare(self.build, self.reference, order):
+            if got != expected:
+                tag = f"[{self.label}] " if self.label else ""
+                return f"{tag}{where}: expected {_text(expected)}, computed {_text(got)}"
         return None
-
-    _tag = MatrixCheck._tag
-
-
-Check = Union[MatrixCheck, AZCheck, ACheck, PseudoCheck, RowSumsCheck, SeriesMatchCheck]
 
 
 @dataclass(frozen=True)
@@ -168,6 +124,11 @@ def _pascal(order: int) -> RiordanPair:
 @lru_cache(maxsize=None)
 def _pascal_inverse(order: int) -> RiordanPair:
     return _pascal(order).inverse()
+
+
+@lru_cache(maxsize=None)
+def _pascal_pi(order: int) -> RiordanPair:
+    return pseudo_from_g(_pascal(order).g)
 
 
 @lru_cache(maxsize=None)
@@ -214,16 +175,6 @@ _fib_f_associated = _family_member("associated")
 _fib_f_bell = _family_member("bell")
 _fib_f_derivative = _family_member("derivative")
 _fib_f_hitting = _family_member("hitting_time")
-
-
-def _pascal_from_g_f(order: int) -> TruncSeries:
-    one = TruncSeries.one(order)
-    return pseudo_from_g(1 / (one - TruncSeries.z(order))).f
-
-
-def _pascal_f(order: int) -> TruncSeries:
-    one = TruncSeries.one(order)
-    return TruncSeries.z(order) / (one - TruncSeries.z(order))
 
 
 def _lucas_pi_closed_f(order: int) -> TruncSeries:
@@ -383,92 +334,92 @@ FIXTURES: tuple[Fixture, ...] = (
         id="pascal",
         source="Pascal triangle pair (1/(1-z), z/(1-z))",
         checks=(
-            MatrixCheck("", _pascal, _PASCAL_ROWS),
-            PseudoCheck("", _pascal, 16),
+            Check("", matrix, _pascal, _PASCAL_ROWS),
+            Check("", pseudo, _pascal, 16),
         ),
     ),
     Fixture(
         id="pascal-inverse",
         source="inverse of the Pascal pair, alternating binomials",
-        checks=(MatrixCheck("", _pascal_inverse, _PASCAL_INVERSE_ROWS),),
+        checks=(Check("", matrix, _pascal_inverse, _PASCAL_INVERSE_ROWS),),
     ),
     Fixture(
         id="pascal-from-g",
         source="pseudo-involution partner of 1/(1-z) recovers z/(1-z)",
         checks=(
-            SeriesMatchCheck("f", _pascal_from_g_f, _pascal_f, 32),
-            PseudoCheck("", lambda order: pseudo_from_g(
-                1 / (TruncSeries.one(order) - TruncSeries.z(order))), 16),
+            Check("f", series_match, lambda order: _pascal_pi(order).f,
+                  (lambda order: _pascal(order).f, 32)),
+            Check("", pseudo, _pascal_pi, 16),
         ),
     ),
     Fixture(
         id="appell-k3",
         source="Appell pair ((1+3z)/(1-3z), z)",
-        checks=(PseudoCheck("", _appell_k3, 16),),
+        checks=(Check("", pseudo, _appell_k3, 16),),
     ),
     Fixture(
         id="stochastic-lucas-array",
         source="stochastic array built from the modified Lucas numbers",
         checks=(
-            MatrixCheck("", _stochastic_lucas_array, _STOCHASTIC_LUCAS_ARRAY_ROWS),
-            RowSumsCheck("", _stochastic_lucas_array, 32),
+            Check("", matrix, _stochastic_lucas_array, _STOCHASTIC_LUCAS_ARRAY_ROWS),
+            Check("", row_sums, _stochastic_lucas_array, 32),
         ),
     ),
     Fixture(
         id="stochastic-lucas-matrix",
         source="stochastic matrix from (1+2z)/(1-z-z^2), with its A/Z sequences",
         checks=(
-            MatrixCheck("", _stochastic_lucas_matrix, _STOCHASTIC_LUCAS_MATRIX_ROWS),
-            AZCheck("", _stochastic_lucas_matrix,
-                    _STOCHASTIC_LUCAS_MATRIX_A, _STOCHASTIC_LUCAS_MATRIX_Z),
-            RowSumsCheck("", _stochastic_lucas_matrix, 32),
+            Check("", matrix, _stochastic_lucas_matrix, _STOCHASTIC_LUCAS_MATRIX_ROWS),
+            Check("", a_and_z, _stochastic_lucas_matrix,
+                  (_STOCHASTIC_LUCAS_MATRIX_A, _STOCHASTIC_LUCAS_MATRIX_Z)),
+            Check("", row_sums, _stochastic_lucas_matrix, 32),
         ),
     ),
     Fixture(
         id="fib-pi",
         source="Fibonacci pseudo-involution and its closed-form f",
         checks=(
-            PseudoCheck("", _fib_pi, 16),
-            SeriesMatchCheck("closed form f", lambda order: _fib_pi(order).f,
-                             _fib_pi_closed_f, 32),
+            Check("", pseudo, _fib_pi, 16),
+            Check("closed form f", series_match, lambda order: _fib_pi(order).f,
+                  (_fib_pi_closed_f, 32)),
         ),
     ),
     Fixture(
         id="lucas-pi",
         source="modified Lucas pseudo-involution, matrix and A/Z sequences",
         checks=(
-            MatrixCheck("", _lucas_pi, _LUCAS_PI_ROWS),
-            AZCheck("", _lucas_pi, _LUCAS_PI_A, _LUCAS_PI_Z),
-            PseudoCheck("", _lucas_pi, 16),
-            SeriesMatchCheck("closed form f", lambda order: _lucas_pi(order).f,
-                             _lucas_pi_closed_f, 32),
+            Check("", matrix, _lucas_pi, _LUCAS_PI_ROWS),
+            Check("", a_and_z, _lucas_pi, (_LUCAS_PI_A, _LUCAS_PI_Z)),
+            Check("", pseudo, _lucas_pi, 16),
+            Check("closed form f", series_match, lambda order: _lucas_pi(order).f,
+                  (_lucas_pi_closed_f, 32)),
         ),
     ),
     Fixture(
         id="cfib2-pi",
         source="convolved Fibonacci pseudo-involution (square of the g)",
         checks=(
-            MatrixCheck("", _cfib2_pi, _CFIB2_PI_ROWS),
-            AZCheck("", _cfib2_pi, _CFIB2_PI_A, _CFIB2_PI_Z),
-            PseudoCheck("", _cfib2_pi, 16),
+            Check("", matrix, _cfib2_pi, _CFIB2_PI_ROWS),
+            Check("", a_and_z, _cfib2_pi, (_CFIB2_PI_A, _CFIB2_PI_Z)),
+            Check("", pseudo, _cfib2_pi, 16),
         ),
     ),
     Fixture(
         id="fib-f-family",
         source="the four canonical pseudo-involutions sharing the Fibonacci f",
         checks=(
-            MatrixCheck("associated", _fib_f_associated, _FIB_F_ASSOCIATED_ROWS),
-            MatrixCheck("bell", _fib_f_bell, _FIB_F_BELL_ROWS),
-            MatrixCheck("derivative", _fib_f_derivative, _FIB_F_DERIVATIVE_ROWS),
-            MatrixCheck("hitting_time", _fib_f_hitting, _FIB_F_HITTING_ROWS),
-            PseudoCheck("associated", _fib_f_associated, 16),
-            PseudoCheck("bell", _fib_f_bell, 16),
-            PseudoCheck("derivative", _fib_f_derivative, 16),
-            PseudoCheck("hitting_time", _fib_f_hitting, 16),
-            ACheck("associated", _fib_f_associated, _FIB_F_SHARED_A),
-            ACheck("bell", _fib_f_bell, _FIB_F_SHARED_A),
-            ACheck("derivative", _fib_f_derivative, _FIB_F_SHARED_A),
-            ACheck("hitting_time", _fib_f_hitting, _FIB_F_SHARED_A),
+            Check("associated", matrix, _fib_f_associated, _FIB_F_ASSOCIATED_ROWS),
+            Check("bell", matrix, _fib_f_bell, _FIB_F_BELL_ROWS),
+            Check("derivative", matrix, _fib_f_derivative, _FIB_F_DERIVATIVE_ROWS),
+            Check("hitting_time", matrix, _fib_f_hitting, _FIB_F_HITTING_ROWS),
+            Check("associated", pseudo, _fib_f_associated, 16),
+            Check("bell", pseudo, _fib_f_bell, 16),
+            Check("derivative", pseudo, _fib_f_derivative, 16),
+            Check("hitting_time", pseudo, _fib_f_hitting, 16),
+            Check("associated", a_only, _fib_f_associated, _FIB_F_SHARED_A),
+            Check("bell", a_only, _fib_f_bell, _FIB_F_SHARED_A),
+            Check("derivative", a_only, _fib_f_derivative, _FIB_F_SHARED_A),
+            Check("hitting_time", a_only, _fib_f_hitting, _FIB_F_SHARED_A),
         ),
     ),
 )

@@ -20,20 +20,11 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 @dataclass(frozen=True)
 class SeqReport:
-    """Extracted A and Z sequence prefixes, with the route that produced them."""
+    """Extracted A and Z sequence prefixes."""
 
     a_seq: tuple[Fraction, ...]
     z_seq: tuple[Fraction, ...]
     terms: int
-    method: str  # "series_formula" or "production_matrix"
-
-    def __post_init__(self):
-        if self.method not in ("series_formula", "production_matrix"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if not self.a_seq or self.a_seq[0] == 0:
-            raise DegenerateZError("a_seq must start with a nonzero term")
-        if not self.z_seq or self.z_seq[0] == 0:
-            raise DegenerateZError("z_seq must start with a nonzero term")
 
 
 def _require_terms(terms: int) -> None:
@@ -63,8 +54,7 @@ def production_matrix(pair: RiordanPair, rows: int) -> Matrix:
         for k in range(rows):
             acc = Fraction(0)
             for j in range(max(k - 1, 0), n + 1):
-                if k <= j + 1:
-                    acc += inv[n][j] * shifted[j][k]
+                acc += inv[n][j] * shifted[j][k]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -76,7 +66,7 @@ def az_from_production(pair: RiordanPair, terms: int) -> SeqReport:
     P = production_matrix(pair, terms)
     z_seq = tuple(P[j][0] for j in range(terms))
     a_seq = tuple(P[j][1] for j in range(terms))
-    return SeqReport(a_seq=a_seq, z_seq=z_seq, terms=terms, method="production_matrix")
+    return SeqReport(a_seq=a_seq, z_seq=z_seq, terms=terms)
 
 
 def az_from_series(pair: RiordanPair, terms: int) -> SeqReport:
@@ -97,49 +87,39 @@ def az_from_series(pair: RiordanPair, terms: int) -> SeqReport:
         a_seq=a.coeffs[:terms],
         z_seq=z.coeffs[:terms],
         terms=terms,
-        method="series_formula",
     )
 
 
-def a_sequence(pair: RiordanPair, terms: int = 8) -> tuple[Fraction, ...]:
-    """The A sequence alone, usable when Z is degenerate (z_0 = 0).
-
-    Still computed both ways (z/fbar and production column 1) and
-    cross-checked.
-    """
-    _require_terms(terms)
-    if not pair.proper:
-        raise ProprietyError("A extraction requires a proper pair")
-    if terms + 1 > pair.available_order:
-        raise OrderError(
-            f"{terms} sequence terms need order {terms + 1}, "
-            f"have {pair.available_order}"
-        )
-    fbar = pair.f.truncate(terms + 1).reverse()
-    by_series = (TruncSeries.z(fbar.order) / fbar).coeffs[:terms]
-    P = production_matrix(pair, terms)
-    by_matrix = tuple(P[j][1] for j in range(terms))
-    if by_series != by_matrix:
-        raise ArithmeticError(
-            f"A-sequence routes disagree: {by_series} vs {by_matrix}"
-        )
-    return by_series
-
-
-def extract_az(pair: RiordanPair, terms: int = 8) -> SeqReport:
-    """Both routes, cross-checked termwise; the series result is returned.
-
-    Raises DegenerateZError when the Z sequence starts with zero (the
-    identity pair, for instance), where the recurrences are not defined.
-    """
+def _both_routes(pair: RiordanPair, terms: int) -> SeqReport:
+    """Both routes, cross-checked termwise; the series result is returned."""
     by_series = az_from_series(pair, terms)
     by_matrix = az_from_production(pair, terms)
-    if by_series.a_seq != by_matrix.a_seq or by_series.z_seq != by_matrix.z_seq:
+    if by_series != by_matrix:
         raise ArithmeticError(
             "series and production-matrix extractions disagree: "
             f"{by_series} vs {by_matrix}"
         )
     return by_series
+
+
+def a_sequence(pair: RiordanPair, terms: int = 8) -> tuple[Fraction, ...]:
+    """The A sequence alone, usable when Z is degenerate (z_0 = 0).
+
+    Still computed both ways and cross-checked.
+    """
+    return _both_routes(pair, terms).a_seq
+
+
+def extract_az(pair: RiordanPair, terms: int = 8) -> SeqReport:
+    """A and Z, computed both ways and cross-checked.
+
+    Raises DegenerateZError when the Z sequence starts with zero (the
+    identity pair, for instance), where the recurrences are not defined.
+    """
+    report = _both_routes(pair, terms)
+    if report.z_seq[0] == 0:
+        raise DegenerateZError("Z sequence starts with zero; its recurrence is undefined")
+    return report
 
 
 def recurrence_check(pair: RiordanPair, report: SeqReport, rows: int) -> bool:

@@ -9,6 +9,7 @@ be shared freely.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Union
@@ -19,6 +20,7 @@ from .errors import (
     InexactScalarError,
     OrderError,
     ReversionError,
+    SeriesError,
     SqrtError,
     ValuationError,
 )
@@ -31,7 +33,13 @@ _ONE = Fraction(1)
 
 def rational_str(x: Fraction) -> str:
     """Render exactly, "p/q" or plain "p" for integers."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise SeriesError(
+            f"coefficient has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for printing an integer"
+        ) from None
 
 
 def _exact(c) -> Fraction:

@@ -26,7 +26,7 @@ from riordan import (
     subgroup_element,
 )
 from riordan import cli
-from riordan.fixtures import MatrixCheck, all_fixtures, fixture_by_id
+from riordan.fixtures import all_fixtures, fixture_by_id, matrix
 
 from conftest import (
     mat_vec,
@@ -267,15 +267,15 @@ def test_criterion_10_negative_controls(capsys):
         rng = random.Random(5)
         originals = {f.id: f for f in all_fixtures()}
         for fixture_id, fixture in originals.items():
-            matrix_checks = [c for c in fixture.checks if isinstance(c, MatrixCheck)]
+            matrix_checks = [c for c in fixture.checks if c.compare is matrix]
             if not matrix_checks:
                 continue
             target = rng.choice(matrix_checks)
-            n = rng.randrange(len(target.rows))
-            k = rng.randrange(len(target.rows[n]))
-            rows = [list(r) for r in target.rows]
+            n = rng.randrange(len(target.reference))
+            k = rng.randrange(len(target.reference[n]))
+            rows = [list(r) for r in target.reference]
             rows[n][k] += 1
-            bad_check = dataclasses.replace(target, rows=tuple(tuple(r) for r in rows))
+            bad_check = dataclasses.replace(target, reference=tuple(tuple(r) for r in rows))
             bad = dataclasses.replace(
                 fixture,
                 checks=tuple(bad_check if c is target else c for c in fixture.checks),

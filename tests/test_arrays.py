@@ -323,14 +323,5 @@ def test_trimatrix_shape_validation():
         TriMatrix(((Fraction(1), Fraction(2)),))
 
 
-def test_trimatrix_matmul_matches_oracle():
-    a = pascal().expand(6)
-    b = pascal().inverse().expand(6)
-    prod = a.matmul(b)
-    assert [list(r) for r in prod.rows] == tri_product(a.rows, b.rows)
-    for n, row in enumerate(prod.rows):
-        assert [int(c) for c in row] == [0] * n + [1]
-
-
 def test_row_sums():
     assert [int(s) for s in pascal().expand(5).row_sums()] == [1, 2, 4, 8, 16]

@@ -2,14 +2,24 @@
 
 import dataclasses
 import json
+import sys
 import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from riordan import cli
-from riordan.fixtures import FIXTURES, MatrixCheck, fixture_by_id
+from riordan import RiordanPair, TruncSeries, cli, named_series
+from riordan.fixtures import (
+    FIXTURES,
+    a_and_z,
+    a_only,
+    fixture_by_id,
+    matrix,
+    pseudo,
+    row_sums,
+    series_match,
+)
 
 PASCAL = ("1/(1-z)", "z/(1-z)")
 
@@ -62,6 +72,21 @@ def test_show_rejects_decimal_literal(capsys):
     assert code == 2
     assert out == ""
     assert "unexpected character '.'" in err
+
+
+def test_show_rejects_3000_nested_brackets(capsys):
+    code, out, err = run(capsys, "show", "(" * 3000 + "1" + ")" * 3000, "z")
+    assert code == 2
+    assert out == ""
+    assert err == "error: brackets nested deeper than 100 levels (at offset 100)\n"
+
+
+def test_show_coefficient_past_the_digit_limit(capsys):
+    code, out, err = run(capsys, "show", "2^200000", "z", "--order", "8", "--rows", "2")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
 def test_show_stretched_warns(capsys):
@@ -279,11 +304,11 @@ def _tampered(fixture_id: str, row: int, col: int):
     fixture = fixture_by_id(fixture_id)
     checks = []
     for check in fixture.checks:
-        if isinstance(check, MatrixCheck) and not checks:
-            rows = [list(r) for r in check.rows]
+        if check.compare is matrix and not checks:
+            rows = [list(r) for r in check.reference]
             rows[row][col] += 1
             rows = tuple(tuple(r) for r in rows)
-            checks.append(dataclasses.replace(check, rows=rows))
+            checks.append(dataclasses.replace(check, reference=rows))
         else:
             checks.append(check)
     return dataclasses.replace(fixture, checks=tuple(checks))
@@ -307,3 +332,61 @@ def test_verify_all_with_one_tampered(capsys, monkeypatch):
     assert "cfib2-pi: FAIL" in out
     assert "entry (2,0): expected 6, computed 5" in out
     assert "9/10 fixtures passed" in out
+
+
+def _bump(rows, n, k):
+    """The table with entry (n, k) raised by one."""
+    return tuple(tuple(c + (i == n and j == k) for j, c in enumerate(row))
+                 for i, row in enumerate(rows))
+
+
+def _not_pseudo(order):
+    # fib(z)*fib(-z) has coefficient 3 at z^2, so the check fails there
+    return RiordanPair(named_series("fib", order), TruncSeries.z(order))
+
+
+# fixture id, index and comparison of the check to break, replaced
+# fields, expected line
+_BROKEN_CHECKS = {
+    "matrix": ("fib-f-family", 1, matrix,
+               lambda c: dict(reference=_bump(c.reference, 4, 2)),
+               "[bell] entry (4,2): expected 55, computed 54"),
+    "az-a": ("stochastic-lucas-matrix", 1, a_and_z,
+             lambda c: dict(reference=(c.reference[0][:2] + ("-5/7",) + c.reference[0][3:],
+                                       c.reference[1])),
+             "A[2]: expected -5/7, computed -5/8"),
+    "az-z": ("lucas-pi", 1, a_and_z,
+             lambda c: dict(reference=(c.reference[0],
+                                       c.reference[1][:3] + ("59",) + c.reference[1][4:])),
+             "Z[3]: expected 59, computed 58"),
+    "a": ("fib-f-family", 10, a_only,
+          lambda c: dict(reference=("2",) + c.reference[1:]),
+          "[derivative] A[0]: expected 2, computed 1"),
+    "pseudo": ("fib-f-family", 7, pseudo,
+               lambda c: dict(build=_not_pseudo),
+               "[hitting_time] pseudo-involution to order 16: expected holds, "
+               "computed fails at coefficient 2"),
+    "row-sums": ("stochastic-lucas-array", 1, row_sums,
+                 lambda c: dict(build=fixture_by_id("lucas-pi").checks[0].build),
+                 "row 1 sum: expected 1, computed 2"),
+    "series": ("lucas-pi", 3, series_match,
+               lambda c: dict(reference=fixture_by_id("fib-pi").checks[1].reference),
+               "[closed form f] coefficient 2: expected 3, computed 5"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BROKEN_CHECKS))
+def test_verify_reports_each_check_kind_failure(capsys, monkeypatch, kind):
+    fixture_id, index, compare, changes, line = _BROKEN_CHECKS[kind]
+    fixture = fixture_by_id(fixture_id)
+    checks = list(fixture.checks)
+    assert checks[index].compare is compare
+    checks[index] = dataclasses.replace(checks[index], **changes(checks[index]))
+    bad = dataclasses.replace(fixture, checks=tuple(checks))
+    monkeypatch.setattr(cli, "fixture_by_id", lambda _: bad)
+    code, out, _ = run(capsys, "verify", fixture_id)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == f"{fixture_id}: FAIL"
+    assert lines[1] == f"  {line}"
+    assert lines[2] == "0/1 fixtures passed"

@@ -15,7 +15,6 @@ from riordan import (
     g_subgroup_mul,
     gf_names,
     has_comp_order_two,
-    named_gf,
     named_series,
     power_pseudo,
     pseudo_from_g,
@@ -48,13 +47,6 @@ def test_named_lucas():
 def test_named_cfib_is_power_of_fib():
     assert named_series("cfib2", 10) == named_series("fib", 10) ** 2
     assert named_series("cfib3", 10) == named_series("fib", 10) ** 3
-
-
-def test_named_gf_record():
-    gf = named_gf("fib", 8)
-    assert gf.name == "fib"
-    assert gf.series.order == 8
-    assert gf.description
 
 
 def test_registry_contents():

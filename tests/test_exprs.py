@@ -69,6 +69,18 @@ def test_missing_close_paren():
         parse("(1+z")
 
 
+def test_fifty_nested_levels_parse():
+    assert parse("(" * 50 + "z" + ")" * 50) == Var()
+    root = series_from_text("sqrt(" * 50 + "1+4*z" + ")" * 50, 4)
+    assert root.coeffs[:2] == (1, Fraction(4, 2**50))
+
+
+def test_deep_nesting_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels") as err:
+        parse("(" * 3000 + "1" + ")" * 3000)
+    assert err.value.offset == 100
+
+
 # ---- precedence ----
 
 def test_unary_minus_binds_looser_than_power():

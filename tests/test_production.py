@@ -107,7 +107,6 @@ def test_extract_stochastic_lucas_matrix():
                                   "375/128", "3125/1024", "3125/1024"])
     assert report.a_seq == fracs(["-2", "1/2", "-5/8", "0", "25/128", "0",
                                   "-125/1024", "0"])
-    assert report.method == "series_formula"
 
 
 def test_extract_lucas_pi():
@@ -199,6 +198,5 @@ def test_recurrence_detects_wrong_sequences():
     pair = pascal()
     report = extract_az(pair, 8)
     bad = type(report)(a_seq=(Fraction(2),) + report.a_seq[1:],
-                       z_seq=report.z_seq, terms=report.terms,
-                       method=report.method)
+                       z_seq=report.z_seq, terms=report.terms)
     assert not recurrence_check(pair, bad, 10)
