@@ -105,7 +105,7 @@ def has_comp_order_two(F: TruncSeries) -> bool:
     """F(F(z)) = z to the available order."""
     if F.coeffs[0] != 0 or F.order < 2 or F.coeffs[1] == 0:
         return False
-    return F.compose(F).matches(TruncSeries.z(F.order), F.order)
+    return F.compose(F).matches(TruncSeries.z(F.order))
 
 
 def family_from_f(f: TruncSeries) -> list[RiordanPair]:

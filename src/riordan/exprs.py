@@ -10,60 +10,32 @@ Grammar (whitespace insignificant, no implicit multiplication):
 '^' takes a nonnegative integer exponent and binds tighter than unary
 minus, so -z^2 means -(z^2).  Names resolve against the named generating
 function registry at parse time.
+
+``parse`` returns a flat postfix program, a tuple of ``(op, arg)`` steps.
+``("int", n)``, ``("z", None)`` and ``("name", name)`` push a series;
+``("neg", None)``, ``("^", k)`` and ``("sqrt", None)`` map the top one;
+``("+" | "-" | "*" | "/", None)`` combine the top two.  ``eval_series`` runs
+it in one loop, so only brackets, bounded by ``MAX_DEPTH``, cost recursion.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Any
 
 from . import constructions
 from .errors import ExprSyntaxError, UnknownNameError
 from .series import TruncSeries
 
-GFExpr = Union["IntLit", "Var", "NameRef", "Neg", "BinOp", "Pow", "Sqrt"]
+Program = tuple[tuple[str, Any], ...]
 
 # brackets may nest this deep; each level costs the recursive-descent parser
-# four stack frames, so deeper input would exhaust the interpreter's stack
+# five frames (bracketed, expr, term, factor, atom) of the interpreter's stack
 MAX_DEPTH = 100
 
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class NameRef:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: GFExpr
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: GFExpr
-    right: GFExpr
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: GFExpr
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Sqrt:
-    child: GFExpr
+_BINARY = {"+": operator.add, "-": operator.sub,
+           "*": operator.mul, "/": operator.truediv}
 
 
 @dataclass(frozen=True)
@@ -102,11 +74,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], names: frozenset[str]):
+    """Appends the postfix steps of each rule to ``out`` as it parses."""
+
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.names = names
         self.depth = 0
+        self.out: list[tuple[str, Any]] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -122,125 +96,101 @@ class _Parser:
             raise ExprSyntaxError(f"expected {text!r}", tok.offset)
         self.take()
 
-    def bracketed(self) -> GFExpr:
+    def bracketed(self) -> None:
         tok = self.peek()
         self.expect_op("(")
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ExprSyntaxError(f"brackets nested deeper than {MAX_DEPTH} levels",
                                   tok.offset)
-        inner = self.expr()
+        self.expr()
         self.expect_op(")")
         self.depth -= 1
-        return inner
 
-    def expr(self) -> GFExpr:
-        node = self.term()
+    def expr(self) -> None:
+        self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.take().text
-            node = BinOp(op, node, self.term())
-        return node
+            self.term()
+            self.out.append((op, None))
 
-    def term(self) -> GFExpr:
-        node = self.factor()
+    def term(self) -> None:
+        self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.take().text
-            node = BinOp(op, node, self.factor())
-        return node
+            self.factor()
+            self.out.append((op, None))
 
-    def factor(self) -> GFExpr:
+    def factor(self) -> None:
         negated = False
         if self.peek().kind == "op" and self.peek().text == "-":
             self.take()
             negated = True
-        node = self.atom()
+        self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.take()
             tok = self.peek()
             if tok.kind != "int":
                 raise ExprSyntaxError("exponent must be a nonnegative integer", tok.offset)
             self.take()
-            node = Pow(node, int(tok.text))
-        return Neg(node) if negated else node
+            self.out.append(("^", int(tok.text)))
+        if negated:
+            self.out.append(("neg", None))
 
-    def atom(self) -> GFExpr:
+    def atom(self) -> None:
         tok = self.peek()
         if tok.kind == "int":
             self.take()
-            return IntLit(int(tok.text))
-        if tok.kind == "name":
+            self.out.append(("int", int(tok.text)))
+        elif tok.kind == "name":
             self.take()
             if tok.text == "z":
-                return Var()
-            if tok.text == "sqrt":
-                return Sqrt(self.bracketed())
-            if tok.text not in self.names:
+                self.out.append(("z", None))
+            elif tok.text == "sqrt":
+                self.bracketed()
+                self.out.append(("sqrt", None))
+            elif tok.text in constructions.gf_names():
+                self.out.append(("name", tok.text))
+            else:
                 raise UnknownNameError(f"unknown series name {tok.text!r}", tok.offset)
-            return NameRef(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            return self.bracketed()
-        raise ExprSyntaxError("expected an expression", tok.offset)
+        elif tok.kind == "op" and tok.text == "(":
+            self.bracketed()
+        else:
+            raise ExprSyntaxError("expected an expression", tok.offset)
 
 
-def parse(text: str, names: Iterable[str] | None = None) -> GFExpr:
-    """Parse to a syntax tree; offsets in errors index into ``text``."""
-    known = frozenset(constructions.gf_names() if names is None else names)
-    parser = _Parser(_tokenize(text), known)
-    node = parser.expr()
+def parse(text: str) -> Program:
+    """Parse to a postfix program; offsets in errors index into ``text``."""
+    parser = _Parser(_tokenize(text))
+    parser.expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError("unexpected trailing input", tok.offset)
-    return node
+    return tuple(parser.out)
 
 
-def eval_series(node: GFExpr, order: int) -> TruncSeries:
-    """Bottom-up evaluation at the requested truncation order."""
-    if isinstance(node, IntLit):
-        return TruncSeries.constant(node.value, order)
-    if isinstance(node, Var):
-        return TruncSeries.z(order)
-    if isinstance(node, NameRef):
-        return constructions.named_series(node.name, order)
-    if isinstance(node, Neg):
-        return -eval_series(node.child, order)
-    if isinstance(node, Pow):
-        return eval_series(node.base, order) ** node.exponent
-    if isinstance(node, Sqrt):
-        return eval_series(node.child, order).sqrt()
-    left = eval_series(node.left, order)
-    right = eval_series(node.right, order)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return left / right
+def eval_series(program: Program, order: int) -> TruncSeries:
+    """Run the postfix program on a stack at the requested truncation order."""
+    stack: list[TruncSeries] = []
+    for op, arg in program:
+        if op == "int":
+            stack.append(TruncSeries.constant(arg, order))
+        elif op == "z":
+            stack.append(TruncSeries.z(order))
+        elif op == "name":
+            stack.append(constructions.named_series(arg, order))
+        elif op == "neg":
+            stack.append(-stack.pop())
+        elif op == "^":
+            stack.append(stack.pop() ** arg)
+        elif op == "sqrt":
+            stack.append(stack.pop().sqrt())
+        else:
+            right = stack.pop()
+            stack.append(_BINARY[op](stack.pop(), right))
+    (result,) = stack
+    return result
 
 
-def series_from_text(text: str, order: int, names: Iterable[str] | None = None) -> TruncSeries:
-    return eval_series(parse(text, names), order)
-
-
-def to_text(node: GFExpr) -> str:
-    """Canonical rendering that reparses to an equal tree."""
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, Var):
-        return "z"
-    if isinstance(node, NameRef):
-        return node.name
-    if isinstance(node, Sqrt):
-        return f"sqrt({to_text(node.child)})"
-    if isinstance(node, Neg):
-        return f"-{_atom_text(node.child)}"
-    if isinstance(node, Pow):
-        return f"{_atom_text(node.base)}^{node.exponent}"
-    return f"({to_text(node.left)} {node.op} {to_text(node.right)})"
-
-
-def _atom_text(node: GFExpr) -> str:
-    # wrap anything the atom rule cannot carry on its own
-    if isinstance(node, (IntLit, Var, NameRef, Sqrt)):
-        return to_text(node)
-    return f"({to_text(node)})"
+def series_from_text(text: str, order: int) -> TruncSeries:
+    return eval_series(parse(text), order)

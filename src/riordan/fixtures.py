@@ -21,6 +21,10 @@ PairBuilder = Callable[[int], RiordanPair]
 SeriesBuilder = Callable[[int], TruncSeries]
 Comparison = Iterator[tuple[str, Any, Any]]
 
+# every check builds at this order or more: the largest check reads 32
+# coefficients, and a pair built lower would fail it for want of terms
+MIN_BUILD_ORDER = 32
+
 
 # ---- comparisons: each yields (where, expected, computed) in check order ----
 
@@ -60,7 +64,7 @@ def pseudo(pair: PairBuilder, check_order: int, order: int) -> Comparison:
 
 def row_sums(pair: PairBuilder, n_rows: int, order: int) -> Comparison:
     """Every one of the leading ``n_rows`` rows sums to 1."""
-    sums = pair(max(order, n_rows)).expand(n_rows).row_sums()
+    sums = pair(order).expand(n_rows).row_sums()
     for n, s in enumerate(sums):
         yield f"row {n} sum", 1, s
 
@@ -69,8 +73,7 @@ def series_match(actual: SeriesBuilder, reference: tuple[SeriesBuilder, int],
                  order: int) -> Comparison:
     """Leading coefficients of two independently built series."""
     expected, terms = reference
-    n = max(order, terms)
-    got, want = actual(n), expected(n)
+    got, want = actual(order), expected(order)
     for i in range(terms):
         yield f"coefficient {i}", want.coeffs[i], got.coeffs[i]
 
@@ -89,6 +92,7 @@ class Check:
 
     def run(self, order: int) -> str | None:
         """The first mismatch, None when every compared value is equal."""
+        order = max(order, MIN_BUILD_ORDER)
         for where, expected, got in self.compare(self.build, self.reference, order):
             if got != expected:
                 tag = f"[{self.label}] " if self.label else ""

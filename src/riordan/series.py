@@ -223,14 +223,9 @@ class TruncSeries:
             raise OrderError(f"cannot truncate order {self.order} to {order}")
         return TruncSeries(self.coeffs[:order])
 
-    def matches(self, other: TruncSeries, terms: int | None = None) -> bool:
-        """Coefficientwise equality on the first ``terms`` coefficients
-        (common order when terms is None)."""
+    def matches(self, other: TruncSeries) -> bool:
+        """Coefficientwise equality to the common order."""
         n = min(self.order, other.order)
-        if terms is not None:
-            if terms > n:
-                raise OrderError(f"only {n} common coefficients, asked for {terms}")
-            n = terms
         return self.coeffs[:n] == other.coeffs[:n]
 
     # ---- ring operations ----

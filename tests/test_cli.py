@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import shlex
 import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from riordan.fixtures import (
 )
 
 PASCAL = ("1/(1-z)", "z/(1-z)")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -79,6 +82,13 @@ def test_show_rejects_3000_nested_brackets(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: brackets nested deeper than 100 levels (at offset 100)\n"
+
+
+def test_show_3000_term_flat_chain(capsys):
+    code, out, err = run(capsys, "show", "+".join(["1"] * 3000), "z", "--rows", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "3000"
+    assert err == ""
 
 
 def test_show_coefficient_past_the_digit_limit(capsys):
@@ -295,6 +305,14 @@ def test_verify_all(capsys):
     assert lines[-1].endswith("fixtures passed")
 
 
+@pytest.mark.parametrize("order", ["1", "4", "16", "17"])
+def test_verify_all_at_small_orders_matches_default(capsys, order):
+    _, default, _ = run(capsys, "verify", "all")
+    code, out, _ = run(capsys, "verify", "all", "--order", order)
+    assert code == 0
+    assert out == default
+
+
 def test_verify_unknown_fixture(capsys):
     code, _, err = run(capsys, "verify", "not-a-fixture")
     assert code == 2
@@ -390,3 +408,15 @@ def test_verify_reports_each_check_kind_failure(capsys, monkeypatch, kind):
     assert lines[0] == f"{fixture_id}: FAIL"
     assert lines[1] == f"  {line}"
     assert lines[2] == "0/1 fixtures passed"
+
+
+# ---- documentation ----
+
+def test_readme_commands_run(capsys):
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("riordan ")]
+    assert len(commands) >= 11
+    for argv in commands:
+        code, _, err = run(capsys, *argv, "--order", "16")
+        assert code == 0, (argv, err)

@@ -1,4 +1,4 @@
-"""Expression grammar: parse trees, error offsets, evaluation, printing."""
+"""Expression grammar: postfix programs, error offsets, evaluation."""
 
 import random
 from fractions import Fraction
@@ -7,22 +7,23 @@ import pytest
 
 from riordan import (
     ExprSyntaxError,
+    RiordanError,
+    TruncSeries,
     UnknownNameError,
     ValuationError,
-    eval_series,
+    named_series,
     parse,
     series_from_text,
-    to_text,
 )
-from riordan.exprs import BinOp, IntLit, NameRef, Neg, Pow, Sqrt, Var
 
 
 # ---- grammar smoke ----
 
 def test_parse_fibonacci_form():
-    tree = parse("1/(1-z-z^2)")
-    assert tree == BinOp("/", IntLit(1),
-                         BinOp("-", BinOp("-", IntLit(1), Var()), Pow(Var(), 2)))
+    assert parse("1/(1-z-z^2)") == (
+        ("int", 1), ("int", 1), ("z", None), ("-", None),
+        ("z", None), ("^", 2), ("-", None), ("/", None),
+    )
 
 
 def test_parse_modified_lucas_form():
@@ -70,7 +71,7 @@ def test_missing_close_paren():
 
 
 def test_fifty_nested_levels_parse():
-    assert parse("(" * 50 + "z" + ")" * 50) == Var()
+    assert parse("(" * 50 + "z" + ")" * 50) == (("z", None),)
     root = series_from_text("sqrt(" * 50 + "1+4*z" + ")" * 50, 4)
     assert root.coeffs[:2] == (1, Fraction(4, 2**50))
 
@@ -84,11 +85,13 @@ def test_deep_nesting_is_a_syntax_error():
 # ---- precedence ----
 
 def test_unary_minus_binds_looser_than_power():
-    assert parse("-z^2") == Neg(Pow(Var(), 2))
+    assert parse("-z^2") == (("z", None), ("^", 2), ("neg", None))
 
 
 def test_subtraction_left_associative():
-    assert parse("1-z-z^2") == BinOp("-", BinOp("-", IntLit(1), Var()), Pow(Var(), 2))
+    assert parse("1-z-z^2") == (
+        ("int", 1), ("z", None), ("-", None), ("z", None), ("^", 2), ("-", None),
+    )
 
 
 def test_precedence_against_explicit_parens():
@@ -143,42 +146,105 @@ def test_eval_order_monotone():
             assert wide.truncate(k) == series_from_text(text, k)
 
 
-# ---- canonical printing ----
+def test_flat_chains_evaluate_without_recursion():
+    assert series_from_text("*".join(["z"] * 3000), 4) == TruncSeries.zero(4)
+    assert series_from_text("-".join(["1"] * 3000), 3) == TruncSeries.constant(-2998, 3)
+
+
+# ---- random trees against the parser and evaluator ----
 
 _NAMES = ("fib", "lucas")
 
 
 def random_tree(rng: random.Random, depth: int):
+    """A tuple tree: (leaf, value), (unary, child[, exponent]) or (op, left, right)."""
     if depth == 0:
         kind = rng.randrange(3)
         if kind == 0:
-            return IntLit(rng.randint(0, 9))
+            return ("int", rng.randint(0, 9))
         if kind == 1:
-            return Var()
-        return NameRef(rng.choice(_NAMES))
+            return ("z", None)
+        return ("name", rng.choice(_NAMES))
     kind = rng.randrange(5)
     if kind == 0:
-        return Neg(random_tree(rng, depth - 1))
+        return ("neg", random_tree(rng, depth - 1))
     if kind == 1:
-        return Pow(random_tree(rng, depth - 1), rng.randint(0, 4))
+        return ("^", random_tree(rng, depth - 1), rng.randint(0, 4))
     if kind == 2:
-        return Sqrt(random_tree(rng, depth - 1))
-    op = rng.choice("+-*/")
-    return BinOp(op, random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+        return ("sqrt", random_tree(rng, depth - 1))
+    return (rng.choice("+-*/"), random_tree(rng, depth - 1), random_tree(rng, depth - 1))
 
 
-def test_print_parse_idempotent_on_random_trees():
+def render(tree) -> str:
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1])
+    if kind == "z":
+        return "z"
+    if kind == "name":
+        return tree[1]
+    if kind == "sqrt":
+        return f"sqrt({render(tree[1])})"
+    if kind == "neg":
+        return f"-{render_atom(tree[1])}"
+    if kind == "^":
+        return f"{render_atom(tree[1])}^{tree[2]}"
+    return f"({render(tree[1])} {kind} {render(tree[2])})"
+
+
+def render_atom(tree) -> str:
+    # wrap anything the atom rule cannot carry on its own
+    text = render(tree)
+    return text if tree[0] in ("int", "z", "name", "sqrt") else f"({text})"
+
+
+def post_order(tree) -> tuple:
+    kind = tree[0]
+    if kind in ("int", "z", "name"):
+        return (tree,)
+    if kind in ("neg", "sqrt"):
+        return post_order(tree[1]) + ((kind, None),)
+    if kind == "^":
+        return post_order(tree[1]) + (("^", tree[2]),)
+    return post_order(tree[1]) + post_order(tree[2]) + ((kind, None),)
+
+
+def evaluate(tree, n: int) -> TruncSeries:
+    kind = tree[0]
+    if kind == "int":
+        return TruncSeries.constant(tree[1], n)
+    if kind == "z":
+        return TruncSeries.z(n)
+    if kind == "name":
+        return named_series(tree[1], n)
+    if kind == "neg":
+        return -evaluate(tree[1], n)
+    if kind == "sqrt":
+        return evaluate(tree[1], n).sqrt()
+    if kind == "^":
+        return evaluate(tree[1], n) ** tree[2]
+    left, right = evaluate(tree[1], n), evaluate(tree[2], n)
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    if kind == "*":
+        return left * right
+    return left / right
+
+
+def outcome(compute):
+    """The result, or the type of the RiordanError raised instead."""
+    try:
+        return compute()
+    except RiordanError as e:
+        return type(e)
+
+
+def test_random_trees_parse_to_post_order_and_evaluate():
     rng = random.Random(41)
     for _ in range(100):
         tree = random_tree(rng, rng.randint(1, 4))
-        text = to_text(tree)
-        reparsed = parse(text)
-        assert reparsed == tree
-        assert parse(to_text(reparsed)) == reparsed
-
-
-def test_print_parse_on_reference_forms():
-    for text in ("1/(1-z-z^2)", "(1+z^2)/(1-z-z^2)", "-z^2", "2*z^3",
-                 "sqrt(5*z^2+10*z+1)"):
-        tree = parse(text)
-        assert parse(to_text(tree)) == tree
+        text = render(tree)
+        assert parse(text) == post_order(tree), text
+        assert outcome(lambda: series_from_text(text, 6)) == outcome(lambda: evaluate(tree, 6)), text
