@@ -2,7 +2,10 @@
 Riordan arrays.
 
 Exit codes: 0 success, 1 verification mismatch or failed check, 2 parse
-error, 3 invariant violation, 4 construction precondition failure.
+error, 3 invariant violation, 4 construction precondition failure.  An
+exception that is not a RiordanError is a defect in this package; ``main``
+reports it on one line, ``error: internal error (<type>): <message>``, and
+exits 3, so no input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -234,7 +237,7 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=argparse.SUPPRESS,
                    help="series truncation order (default 32)")
     p.add_argument("--rows", type=int, default=argparse.SUPPRESS,
-                   help="rows to display (default 10)")
+                   help="rows to display (default 10, or the order if smaller)")
     p.add_argument("--format", choices=("table", "csv", "json"),
                    default=argparse.SUPPRESS, help="output format (default table)")
     return p
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Riordan-array toolkit: expand, combine, analyze, verify.",
         parents=[common],
     )
-    parser.set_defaults(order=32, rows=10, format="table")
+    parser.set_defaults(order=32, rows=None, format="table")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("show", parents=[common], help="expand a pair (g, f)")
@@ -322,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.rows is None:
+        args.rows = min(10, args.order)
     try:
         return args.handler(args)
     except (ExprSyntaxError, UnknownNameError) as e:
@@ -332,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     except RiordanError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except Exception as e:
+        print(f"error: internal error ({type(e).__name__}): {e}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

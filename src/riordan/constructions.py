@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .arrays import FAMILY_KINDS, RiordanPair, subgroup_element
-from .errors import OrderTwoError, PairInvariantError, PreconditionError
+from .errors import OrderError, OrderTwoError, PairInvariantError, PreconditionError
 from .series import TruncSeries
 
 
@@ -83,7 +83,12 @@ def pseudo_from_g(g: TruncSeries) -> RiordanPair:
     """
     if g.coeffs[0] != 1:
         raise PreconditionError("pseudo-involution construction needs g(0) = 1")
-    if g.order < 2 or g.coeffs[1] == 0:
+    if g.order < 2:
+        raise OrderError(
+            f"pseudo-involution construction reads g'(0), so it needs order at "
+            f"least 2, got {g.order}"
+        )
+    if g.coeffs[1] == 0:
         raise PreconditionError("pseudo-involution construction needs g'(0) != 0")
     G = g - 1
     f = -(G.reverse().compose(-G / g))

@@ -32,11 +32,12 @@ def _require_terms(terms: int) -> None:
         raise OrderError(f"terms must be at least 1, got {terms}")
 
 
-def production_matrix(pair: RiordanPair, rows: int) -> Matrix:
-    """rows x rows block of L^-1 times (L with its first row removed).
+def production_matrix(pair: RiordanPair, rows: int, cols: int | None = None) -> Matrix:
+    """rows x cols block (cols defaults to rows) of L^-1 times (L with its
+    first row removed).
 
-    The result is rectangular, not triangular: nonzero entries reach one
-    column past the diagonal.
+    The product is not triangular: nonzero entries reach one column past
+    the diagonal, so row n has entries up to column n + 1.
     """
     if not pair.proper:
         raise ProprietyError("production matrix requires a proper pair")
@@ -51,7 +52,7 @@ def production_matrix(pair: RiordanPair, rows: int) -> Matrix:
     out = []
     for n in range(rows):
         row = []
-        for k in range(rows):
+        for k in range(rows if cols is None else cols):
             acc = Fraction(0)
             for j in range(max(k - 1, 0), n + 1):
                 acc += inv[n][j] * shifted[j][k]
@@ -63,7 +64,7 @@ def production_matrix(pair: RiordanPair, rows: int) -> Matrix:
 def az_from_production(pair: RiordanPair, terms: int) -> SeqReport:
     """Z as column 0 and A as column 1 of the production matrix."""
     _require_terms(terms)
-    P = production_matrix(pair, terms)
+    P = production_matrix(pair, terms, 2)
     z_seq = tuple(P[j][0] for j in range(terms))
     a_seq = tuple(P[j][1] for j in range(terms))
     return SeqReport(a_seq=a_seq, z_seq=z_seq, terms=terms)

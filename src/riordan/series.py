@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import add, mul
 from typing import Iterable, Union
 
 from .errors import (
@@ -60,35 +61,123 @@ def _sqrt_fraction(c: Fraction) -> Fraction | None:
     return Fraction(rp, rq)
 
 
-# Kernels below work on plain lists of Fractions so algorithms that need
-# explicit precision control (Newton reversion) can manage truncation
-# themselves instead of going through the min-order rules.
+# Kernels below take and return plain lists of Fractions, so algorithms that
+# need explicit precision control (Newton reversion) can manage truncation
+# themselves instead of going through the min-order rules.  Inside, each
+# works on integer numerators over one common denominator and builds
+# Fractions only for its result.
+
+def _scaled(a: list[Fraction]) -> tuple[list[int], int]:
+    """(nums, d) with a[i] = nums[i]/d, d the least common denominator."""
+    d = lcm(*[c.denominator for c in a])
+    if d == 1:
+        return [c.numerator for c in a], 1
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+
+def _fractions(nums: list[int], d: int) -> list[Fraction]:
+    # zeros share one object, as they did when sums started from _ZERO
+    if d == 1:
+        return [Fraction(c) if c else _ZERO for c in nums]
+    return [Fraction(c, d) if c else _ZERO for c in nums]
+
+
+def _pack(xs: list[int], width: int) -> int:
+    """sum xs[i] * 2^(8*width*i), from the bytes of each entry.
+
+    Read as one unsigned integer, the concatenated two's-complement slots
+    exceed that sum by 2^(8*width*(i+1)) for each negative xs[i]; the
+    excess is taken back.
+    """
+    u = int.from_bytes(b"".join([x.to_bytes(width, "little", signed=True) for x in xs]),
+                       "little")
+    if min(xs) < 0:
+        zero, one = bytes(width), b"\x01" + bytes(width - 1)
+        u -= int.from_bytes(b"".join([one if x < 0 else zero for x in xs]),
+                            "little") << (8 * width)
+    return u
+
+
+def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """Product of two integer series mod z^n, by Kronecker substitution.
+
+    Each operand becomes one integer holding a coefficient per slot of
+    ``width`` bytes, so CPython's big-integer product does the whole
+    convolution.  A product coefficient is a sum of at most min(len) terms,
+    so its magnitude stays below half a slot, 2^(8*width - 1); adding half
+    a slot to every slot makes all slots nonnegative, and the signed
+    coefficients are read back from the bytes of that sum.
+    """
+    va = next((i for i, x in enumerate(a) if x), None)
+    vb = next((i for i, x in enumerate(b) if x), None)
+    if va is None or vb is None or va + vb >= n:
+        return [0] * n
+    shift = va + vb
+    a = a[va:n - vb]
+    b = b[vb:n - va]
+    while not a[-1]:
+        a.pop()
+    while not b[-1]:
+        b.pop()
+    m = min(n - shift, len(a) + len(b) - 1)
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
+    low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * m)) - 1)
+    raw = low.to_bytes(width * m, "little")
+    from_bytes = int.from_bytes
+    out = [0] * shift
+    out += [from_bytes(raw[i:i + width], "little") - half for i in range(0, width * m, width)]
+    return out + [0] * (n - len(out))
+
 
 def _mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [_ZERO] * n
-    for i, ai in enumerate(a):
-        if i >= n:
-            break
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    A, da = _scaled(a[:n])
+    B, db = _scaled(b[:n])
+    return _fractions(_int_mul(A, B, n), da * db)
+
+
+def _reduced(nums: list[int], d: int) -> tuple[list[int], int]:
+    """(nums, d) divided by their common factor: d becomes the least common
+    denominator of the values nums[i]/d."""
+    g = gcd(d, *nums)
+    return ([x // g for x in nums], d // g) if g > 1 else (nums, d)
+
+
+def _push(nums: list[int], d: int, q: Fraction) -> int:
+    """Append q to the numerators ``nums`` over the common denominator d and
+    return the new common denominator, rescaling ``nums`` if it grew."""
+    f = q.denominator // gcd(d, q.denominator)
+    if f > 1:
+        d *= f
+        nums[:] = [x * f for x in nums]
+    nums.append(q.numerator * (d // q.denominator))
+    return d
 
 
 def _div(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    # requires b[0] != 0
-    b0 = b[0]
+    """a/b mod z^n; requires b[0] != 0.
+
+    Long division over the integers.  With a = A/da and b = B/db, the
+    quotient's coefficients so far are kept as numerators Q over their
+    least common denominator L, so the next one,
+    q_k = (A_k L db - da sum_{i>=1} B_i Q_(k-i)) / (da L B_0),
+    takes one integer dot product and one gcd.
+    """
+    A, da = _scaled(a[:n])
+    B, db = _scaled(b[:n])
+    A += [0] * (n - len(A))
+    while not B[-1]:
+        B.pop()
+    b0, tail = B[0], B[1:]
     out: list[Fraction] = []
+    Q: list[int] = []
+    L = 1
     for k in range(n):
-        acc = a[k] if k < len(a) else _ZERO
-        for i in range(1, min(k, len(b) - 1) + 1):
-            if b[i]:
-                acc -= b[i] * out[k - i]
-        out.append(acc / b0)
+        q = Fraction(A[k] * L * db - da * sum(map(mul, tail, reversed(Q))), da * L * b0)
+        out.append(q)
+        L = _push(Q, L, q)
     return out
 
 
@@ -103,6 +192,9 @@ def _compose_many(outers: list[list[Fraction]], inner: list[Fraction],
     block is a linear combination of baby powers and the blocks are joined
     by Horner's rule in the giant step, so an outer costs about 2*sqrt(n)
     series products instead of n.  Requires inner[0] == 0.
+
+    Powers and partial sums are integer numerators over their least common
+    denominator; Fractions are built only for the results.
     """
     inner = inner[:n]
     v = next((i for i, c in enumerate(inner) if c), None)
@@ -110,28 +202,38 @@ def _compose_many(outers: list[list[Fraction]], inner: list[Fraction],
         return [[o[0]] + [_ZERO] * (n - 1) for o in outers]
     # outer[i] multiplies a power of valuation i*v, which vanishes once i*v >= n
     m = min(-(-n // v), max(len(o) for o in outers))
-    outers = [o[:m] for o in outers]
     k = isqrt(m - 1) + 1
-    powers = [[_ONE] + [_ZERO] * (n - 1)]
-    for _ in range(1, k):
-        powers.append(_mul(powers[-1], inner, n))
-    giant = _mul(powers[-1], inner, n) if m > k else None
+    I, di = _scaled(inner)
+    powers = [([1] + [0] * (n - 1), 1)]
+    for _ in range(k):
+        P, dp = powers[-1]
+        powers.append(_reduced(_int_mul(P, I, n), dp * di))
+    giant, dg = powers.pop()
     results = []
     for outer in outers:
-        acc: list[Fraction] = []
+        outer = outer[:m]
+        acc, da = [], 1
         for start in reversed(range(0, len(outer), k)):
             # this partial sum is multiplied by inner^start, of valuation
             # start*v, so it is only needed mod z^(n - start*v)
             prec = n - start * v
-            block = _mul(acc, giant, prec) if start + k < len(outer) else [_ZERO] * prec
-            for i, c in enumerate(outer[start:start + k]):
-                if c:
-                    power = powers[i]
-                    for t in range(i * v, prec):
-                        if power[t]:
-                            block[t] += c * power[t]
-            acc = block
-        results.append(acc + [_ZERO] * (n - len(acc)))
+            terms = [(i, c) for i, c in enumerate(outer[start:start + k]) if c]
+            d = lcm(*[c.denominator * powers[i][1] for i, c in terms])
+            if start + k < len(outer):
+                block = _int_mul(acc, giant, prec)
+                d = lcm(d, da * dg)
+                f = d // (da * dg)
+                if f > 1:
+                    block = [x * f for x in block]
+            else:
+                block = [0] * prec
+            for i, c in terms:
+                P, dp = powers[i]
+                f = c.numerator * (d // (c.denominator * dp))
+                lo = i * v
+                block[lo:prec] = map(add, block[lo:prec], map(f.__mul__, P[lo:prec]))
+            acc, da = _reduced(block, d)
+        results.append(_fractions(acc + [0] * (n - len(acc)), da))
     return results
 
 
@@ -365,12 +467,20 @@ class TruncSeries:
         r0 = _sqrt_fraction(c0)
         if r0 is None:
             raise SqrtError(f"{rational_str(c0)} is not a perfect rational square")
+        # as in _div: with self = C/dc and r_1..r_(k-1) kept as numerators R
+        # over their least common denominator L,
+        # r_k = (c_k - sum_{i=1..k-1} r_i r_(k-i)) / (2 r_0)
+        #     = (C_k L^2 - dc sum R_i R_(k-i)) / (2 r_0 dc L^2)
+        C, dc = _scaled(list(self.coeffs))
+        p, q = r0.numerator, r0.denominator
         out = [r0]
+        R: list[int] = []
+        L = 1
         for k in range(1, self.order):
-            acc = self.coeffs[k]
-            for i in range(1, k):
-                acc -= out[i] * out[k - i]
-            out.append(acc / (2 * r0))
+            r = Fraction((C[k] * L * L - dc * sum(map(mul, R, reversed(R)))) * q,
+                         2 * p * dc * L * L)
+            out.append(r)
+            L = _push(R, L, r)
         return TruncSeries(out)
 
     def derivative(self) -> TruncSeries:

@@ -183,6 +183,11 @@ def test_az_rejects_nonpositive_terms(capsys, terms):
     assert "reversion" not in err
 
 
+def test_az_one_term_at_order_two(capsys):
+    code, out, err = run(capsys, "az", *PASCAL, "--terms", "1", "--order", "2")
+    assert (code, out, err) == (0, "A: 1\nZ: 1\n", "")
+
+
 def test_az_rejects_stretched(capsys):
     code, _, err = run(capsys, "az", "(1+z^2)/(1-z-z^2)", "(-2*z^2+z^3)/(1-z-z^2)")
     assert code == 3
@@ -228,6 +233,13 @@ def test_pseudo_from_g_precondition(capsys):
     assert code == 4
 
 
+def test_pseudo_from_g_at_order_one_names_the_order(capsys):
+    code, out, err = run(capsys, "pseudo", "from-g", "1+z", "--order", "1")
+    assert (code, out) == (3, "")
+    assert "needs order at least 2, got 1" in err
+    assert "g'(0) != 0" not in err
+
+
 def test_pseudo_check_pass(capsys):
     code, out, _ = run(capsys, "pseudo", "check", *PASCAL)
     assert code == 0
@@ -268,6 +280,38 @@ def test_pseudo_power(capsys):
 def test_pseudo_power_rejects_non_pseudo(capsys):
     code, _, _ = run(capsys, "pseudo", "power", "1/(1-z)", "z", "2")
     assert code == 4
+
+
+# ---- defaults and internal errors ----
+
+def test_default_rows_are_clamped_to_the_order(capsys):
+    code, out, _ = run(capsys, "show", "1", "z", "--order", "8")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["0"] * 7 + ["1"]
+    assert len(out.splitlines()) == 8
+    code, out, _ = run(capsys, "pseudo", "from-g", "lucas", "--order", "4")
+    assert code == 0
+    assert out.splitlines() == ["f coefficients: 0, 1, 5, 25",
+                                "1", "1   1", "3   6   1", "4  33  11  1"]
+    # the default stays 10 when the order allows it
+    code, out, _ = run(capsys, "show", *PASCAL, "--order", "11")
+    assert len(out.splitlines()) == 10
+
+
+def test_explicit_rows_past_the_order_still_fail(capsys):
+    code, out, err = run(capsys, "show", "1", "z", "--order", "8", "--rows", "9")
+    assert (code, out) == (3, "")
+    assert "9 rows requested but only 8 coefficients are available" in err
+
+
+def test_internal_error_is_one_line_with_exit_3(capsys, monkeypatch):
+    def broken(pair, terms):
+        return {}[terms]
+
+    monkeypatch.setattr(cli, "extract_az", broken)
+    code, out, err = run(capsys, "az", *PASCAL)
+    assert (code, out) == (3, "")
+    assert err == "error: internal error (KeyError): 8\n"
 
 
 # ---- parse errors ----

@@ -1,0 +1,80 @@
+"""Random command lines: every run ends in a documented exit code, fast,
+without a traceback."""
+
+import contextlib
+import io
+import time
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from riordan import cli, gf_names
+from riordan.fixtures import FIXTURES
+
+NAMES = gf_names()
+
+leaves = st.one_of(
+    st.integers(0, 5).map(str),
+    st.just("z"),
+    st.sampled_from(NAMES + ("nope",)),
+)
+
+
+def _combine(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        children.map(lambda e: f"-({e})"),
+        st.tuples(children, st.integers(0, 6)).map(lambda t: f"({t[0]})^{t[1]}"),
+        children.map(lambda e: f"sqrt({e})"),
+    )
+
+
+expressions = st.one_of(
+    st.recursive(leaves, _combine, max_leaves=6),
+    # arbitrary text over the expression alphabet, mostly parse errors
+    st.text(alphabet="z0123+-*/^().sqrtfibluca_", max_size=12),
+)
+
+COMMANDS = {
+    "show": 2, "mul": 4, "inv": 2, "apply": 3, "az": 2, "stochastic": 1,
+    "pseudo from-g": 1, "pseudo check": 2, "pseudo family": 1, "pseudo power": 2,
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS) + ["verify"]))
+    if command == "verify":
+        argv = ["verify", draw(st.sampled_from(
+            [f.id for f in FIXTURES] + ["all", "no-such-fixture"]))]
+    else:
+        argv = command.split() + [draw(expressions) for _ in range(COMMANDS[command])]
+    if command == "pseudo power":
+        argv.append(str(draw(st.integers(-1, 3))))
+    if command == "az" and draw(st.booleans()):
+        argv += ["--terms", str(draw(st.integers(-1, 12)))]
+    argv += ["--order", str(draw(st.integers(-1, 12)))]
+    if draw(st.booleans()):
+        argv += ["--rows", str(draw(st.integers(-1, 12)))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("table", "csv", "json")))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+def test_random_command_lines_end_in_documented_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejecting the command line
+            code = e.code
+    elapsed = time.perf_counter() - start
+    assert code in {0, 1, 2, 3, 4}, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+    assert elapsed < 2, (argv, elapsed)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from riordan import (
+    OrderError,
     OrderTwoError,
     PairInvariantError,
     PreconditionError,
@@ -133,6 +134,12 @@ def test_pseudo_from_g_preconditions():
         pseudo_from_g(TruncSeries.constant(2, 8))
     with pytest.raises(PreconditionError):
         pseudo_from_g(poly([1, 0, 1], 8))
+
+
+def test_pseudo_from_g_at_order_one_names_the_order():
+    # g'(0) is not known at order 1, so the precondition on it cannot fail
+    with pytest.raises(OrderError, match="needs order at least 2, got 1"):
+        pseudo_from_g(TruncSeries.polynomial([1, 1], 1))
 
 
 def test_pseudo_from_g_uniqueness_spot_checks():

@@ -126,6 +126,27 @@ def test_extract_convolved_fibonacci_pi():
                                   "-310", "1455"])
 
 
+def test_extract_one_term_at_order_two():
+    # one row of the production matrix still reaches column 1, where a_0 is
+    pair = pascal(2)
+    assert production_matrix(pair, 1, 2) == ((1, 1),)
+    assert az_from_production(pair, 1) == az_from_series(pair, 1)
+    report = extract_az(pair, 1)
+    assert (report.a_seq, report.z_seq, report.terms) == ((1,), (1,), 1)
+    lucas_pi = pseudo_from_g(named_series("lucas", N))
+    assert extract_az(lucas_pi, 1).a_seq == extract_az(lucas_pi, 8).a_seq[:1]
+
+
+def test_production_columns_argument_keeps_the_leading_columns():
+    pair = pseudo_from_g(named_series("lucas", N))
+    square = production_matrix(pair, 6)
+    assert production_matrix(pair, 6, 2) == tuple(row[:2] for row in square)
+    wide = production_matrix(pair, 6, 7)
+    assert tuple(row[:6] for row in wide) == square
+    # the entry past the diagonal of the last row is a_0
+    assert wide[5][6] == square[0][1]
+
+
 def test_extract_identity_degenerate():
     with pytest.raises(DegenerateZError):
         extract_az(RiordanPair.identity(N), 6)

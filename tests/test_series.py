@@ -18,9 +18,9 @@ from riordan import (
     TruncSeries,
     ValuationError,
 )
-from riordan.series import _compose_many, compose_many
+from riordan.series import _compose_many, _div, _int_mul, _mul, compose_many
 
-from conftest import compose_naive, longdiv
+from conftest import compose_naive, convolve, longdiv
 
 N = 16
 
@@ -423,3 +423,123 @@ def test_floats_are_rejected(build):
     with pytest.raises(InexactScalarError, match="not exact"):
         build()
     assert issubclass(InexactScalarError, RiordanError)
+
+
+# ---- integer kernels against the oracles ----
+
+KERNEL_SIZES = (1, 2, 3, 7, 16, 33)
+
+
+def _rationals(rng, length, prime, bits=4):
+    """Signed p/prime^e with p of up to ``bits`` bits and about a fifth zero;
+    operands drawn on different primes share no denominator factor."""
+    out = []
+    for _ in range(length):
+        p = rng.getrandbits(bits) * rng.choice((1, -1)) if rng.random() > 0.2 else 0
+        out.append(Fraction(p, prime ** rng.randint(0, 3)))
+    return out
+
+
+def _truncated_product(a, b, n):
+    return (convolve(a, b) + [Fraction(0)] * n)[:n]
+
+
+def _exact_list(xs):
+    return all(type(x) is Fraction for x in xs)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+@pytest.mark.parametrize("bits", (4, 320))
+def test_mul_matches_convolve(n, bits):
+    rng = random.Random(f"mul/{n}/{bits}")
+    for pa, pb in ((2, 3), (5, 7), (3, 3)):
+        # equal lengths, one operand shorter than n, one longer
+        for la, lb in ((n, n), (n, max(n // 2, 1)), (1, n), (n + 3, n)):
+            a, b = _rationals(rng, la, pa, bits), _rationals(rng, lb, pb, bits)
+            got = _mul(a, b, n)
+            assert got == _truncated_product(a, b, n)
+            assert len(got) == n and _exact_list(got)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_mul_by_zero_operands(n):
+    rng = random.Random(f"mulzero/{n}")
+    a = _rationals(rng, n, 5)
+    zero = [Fraction(0)] * n
+    assert _mul(zero, a, n) == zero
+    assert _mul(a, zero[:1], n) == zero
+    assert _mul(zero, zero, n) == zero
+    # valuations whose sum reaches n leave nothing below z^n
+    shifted = [Fraction(0)] * (n - 1) + [Fraction(3)]
+    assert _mul(shifted, [Fraction(0), Fraction(1)], n) == zero
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+@pytest.mark.parametrize("bits", (4, 320))
+def test_div_matches_longdiv(n, bits):
+    rng = random.Random(f"div/{n}/{bits}")
+    for pa, pb in ((2, 3), (5, 7), (3, 3)):
+        for la, lb in ((n, n), (max(n // 2, 1), n), (n, 1), (n, max(n // 3, 1))):
+            a, b = _rationals(rng, la, pa, bits), _rationals(rng, lb, pb, bits)
+            b[0] = b[0] or Fraction(-3, pb)
+            got = _div(a, b, n)
+            # the oracle reads num past every term of den it subtracts
+            assert got == longdiv(a + [0] * (n - la), b[:n], n)
+            assert len(got) == n and _exact_list(got)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_div_of_zero_and_by_a_constant(n):
+    rng = random.Random(f"divzero/{n}")
+    b = _rationals(rng, n, 7)
+    b[0] = Fraction(-5, 7)
+    zero = [Fraction(0)] * n
+    assert _div(zero, b, n) == zero
+    a = _rationals(rng, n, 2)
+    assert _div(a, [Fraction(-5, 7)], n) == [c * Fraction(-7, 5) for c in a]
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+@pytest.mark.parametrize("bits", (4, 320))
+def test_sqrt_inverts_squaring(n, bits):
+    rng = random.Random(f"sqrt/{n}/{bits}")
+    for prime in (2, 3, 5):
+        s = _rationals(rng, n, prime, bits)
+        s[0] = Fraction(rng.getrandbits(bits) + 1, prime ** rng.randint(0, 3))
+        square = TruncSeries(_truncated_product(s, s, n))
+        root = square.sqrt()
+        assert list(root.coeffs) == s
+        assert _exact_list(root.coeffs)
+    # a constant square has a constant root
+    assert TruncSeries.polynomial([Fraction(9, 49)], n).sqrt() == \
+        TruncSeries.polynomial([Fraction(3, 7)], n)
+
+
+def test_kernels_at_order_one():
+    a, b = [Fraction(-3, 4)], [Fraction(5, 9)]
+    assert _mul(a, b, 1) == [Fraction(-5, 12)]
+    assert _div(a, b, 1) == [Fraction(-27, 20)]
+    assert _mul(a + [Fraction(7)], b + [Fraction(1)], 1) == [Fraction(-5, 12)]
+    assert TruncSeries([Fraction(4, 9)]).sqrt() == TruncSeries([Fraction(2, 3)])
+
+
+@pytest.mark.parametrize("length", (1, 2, 3, 5))
+def test_products_at_the_signed_slot_boundary(length):
+    # every coefficient is +-(2^k - 1), so the largest product coefficient
+    # equals length * (2^k - 1)^2, the bound the slot width is chosen from;
+    # for some k that bound's bit length is 8j - 1 or 8j, where one bit
+    # less of slot would drop the sign
+    at_byte_edge = 0
+    for k in range(1, 70):
+        m = (1 << k) - 1
+        at_byte_edge += (length * m * m).bit_length() % 8 in (0, 7)
+        for sa in (1, -1):
+            for signs in ((1,) * length, (-1,) * length,
+                          tuple((-1) ** i for i in range(length))):
+                a = [sa * m] * length
+                b = [s * m for s in signs]
+                n = 2 * length - 1
+                expected = [int(c) for c in convolve(a, b)]
+                assert _int_mul(a, b, n) == expected
+                assert _mul([Fraction(x) for x in a], [Fraction(x) for x in b], n) == expected
+    assert at_byte_edge
