@@ -9,45 +9,84 @@ applied but are excluded from the group operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import OrderError, PairInvariantError, ProprietyError
-from .series import TruncSeries, _mul, compose_many
+from .series import Scalar, TruncSeries, _int_mul, _series, compose_many
 
 # the subgroup kinds seeded by f, in the order family_from_f returns them;
 # the fifth kind, appell, is seeded by g
 FAMILY_KINDS = ("associated", "bell", "derivative", "hitting_time")
 
+T = TypeVar("T")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TriMatrix:
     """Leading rows of a lower-triangular array; row n holds n+1 entries.
 
-    Entries above the diagonal are not stored and read as zero.
+    Held by columns: ``columns[k]`` is a TruncSeries of order ``n_rows``
+    whose coefficient n is entry (n, k), so every column is integer
+    numerators over one denominator.  Entries above the diagonal read as
+    zero.  ``rows`` builds the Fraction rows on first use.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[TruncSeries, ...]
+    _rows: tuple | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        for n, row in enumerate(self.rows):
+    def __init__(self, rows: Iterable[Iterable[Scalar]]):
+        rows = tuple(tuple(row) for row in rows)
+        for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
+        object.__setattr__(self, "columns", tuple(
+            TruncSeries([0] * k + [row[k] for row in rows[k:]]) for k in range(len(rows))))
+
+    @classmethod
+    def from_columns(cls, columns: Iterable[TruncSeries]) -> TriMatrix:
+        """The matrix whose column k is ``columns[k]``; each column has order
+        len(columns) and vanishes above row k."""
+        tri = object.__new__(cls)
+        object.__setattr__(tri, "columns", tuple(columns))
+        return tri
+
+    def map_rows(self, cells: Callable[[TruncSeries, int], Sequence[T]]) -> list[tuple[T, ...]]:
+        """The rows of ``cells(columns[k], k)``, which lists entries k, k+1, ...
+        of column k: row n holds the entries (n, 0), ..., (n, n)."""
+        cols = [[None] * k + list(cells(col, k)) for k, col in enumerate(self.columns)]
+        return [row[:n + 1] for n, row in enumerate(zip(*cols))]
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            object.__setattr__(self, "_rows",
+                               tuple(self.map_rows(lambda col, k: col.coeffs[k:])))
+        return self._rows
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.columns)
 
     def entry(self, n: int, k: int) -> Fraction:
         if not 0 <= n < self.n_rows or k < 0:
             raise IndexError(f"no row {n} (have {self.n_rows})")
-        return self.rows[n][k] if k <= n else Fraction(0)
+        return self.columns[k].coeffs[n] if k <= n else Fraction(0)
 
     def column(self, k: int) -> tuple[Fraction, ...]:
         return tuple(self.entry(n, k) for n in range(self.n_rows))
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.rows)
+        """Each row summed as integers over the lcm of the column denominators."""
+        L = lcm(*[col.den for col in self.columns])
+        sums = [0] * self.n_rows
+        for k, col in enumerate(self.columns):
+            f = L // col.den
+            sums[k:] = map(add, sums[k:], map(f.__mul__, col.nums[k:]))
+        return tuple(Fraction(s, L) for s in sums)
 
 
 class RiordanPair:
@@ -59,9 +98,9 @@ class RiordanPair:
     f: TruncSeries
 
     def __init__(self, g: TruncSeries, f: TruncSeries):
-        if g.coeffs[0] == 0:
+        if not g.nums[0]:
             raise PairInvariantError("g needs a nonzero constant term")
-        if f.coeffs[0] != 0:
+        if f.nums[0]:
             raise PairInvariantError("f needs a zero constant term")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f", f)
@@ -75,7 +114,7 @@ class RiordanPair:
 
     @property
     def proper(self) -> bool:
-        return self.f.order > 1 and self.f.coeffs[1] != 0
+        return self.f.order > 1 and self.f.nums[1] != 0
 
     @property
     def available_order(self) -> int:
@@ -102,15 +141,14 @@ class RiordanPair:
                 f"{rows} rows requested but only {self.available_order} "
                 f"coefficients are available"
             )
-        f = list(self.f.coeffs[:rows])
-        cols = []
-        col = list(self.g.coeffs[:rows])
-        for _ in range(rows):
+        # column k is g*f^k, numerators over den(g)*den(f)^k in lowest terms
+        F, df = self.f.nums[:rows], self.f.den
+        col = _series(self.g.nums[:rows], self.g.den)
+        cols = [col]
+        for _ in range(rows - 1):
+            col = _series(_int_mul(col.nums, F, rows), col.den * df)
             cols.append(col)
-            col = _mul(col, f, rows)
-        return TriMatrix(tuple(
-            tuple(cols[k][n] for k in range(n + 1)) for n in range(rows)
-        ))
+        return TriMatrix.from_columns(cols)
 
     def apply(self, h: TruncSeries) -> TruncSeries:
         """Action on a column vector by generating function: g * h(f)."""
@@ -164,10 +202,9 @@ class RiordanPair:
         F = F.truncate(n)
         gF, FF = compose_many([g, F], F)
         gg = g * gF
-        one = TruncSeries.one(n)
-        zz = TruncSeries.z(n)
+        # g*g(F) = 1 and F(F) = z, read off the numerators
         for i in range(n):
-            if gg.coeffs[i] != one.coeffs[i] or FF.coeffs[i] != zz.coeffs[i]:
+            if gg.nums[i] != (gg.den if i == 0 else 0) or FF.nums[i] != (FF.den if i == 1 else 0):
                 return i
         return None
 
@@ -200,13 +237,13 @@ def subgroup_element(kind: str, seed: TruncSeries) -> RiordanPair:
     seed as f and build (f/z, f), (1, f), (f', f) or (z*f'/f, f).
     """
     if kind == "appell":
-        if seed.coeffs[0] == 0:
+        if not seed.nums[0]:
             raise ProprietyError("appell seed g needs a nonzero constant term")
         return RiordanPair(seed, TruncSeries.z(seed.order))
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown subgroup kind {kind!r}")
     f = seed
-    if f.coeffs[0] != 0 or f.order < 2 or f.coeffs[1] == 0:
+    if f.nums[0] or f.order < 2 or not f.nums[1]:
         raise ProprietyError(f"{kind} seed f needs f(0) = 0 and f'(0) != 0")
     if kind == "bell":
         return RiordanPair(f / TruncSeries.z(f.order), f)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 
 from .arrays import FAMILY_KINDS, RiordanPair, TriMatrix
 from .constructions import (
@@ -31,7 +32,7 @@ from .errors import (
 from .exprs import series_from_text
 from .fixtures import all_fixtures, fixture_by_id
 from .production import extract_az
-from .series import TruncSeries, rational_str
+from .series import TruncSeries, ratio_strs, rational_str
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -42,55 +43,58 @@ EXIT_PRECONDITION = 4
 
 # ---- rendering ----
 
-def _table(rows: list[list[str]]) -> str:
-    widths: dict[int, int] = {}
-    for row in rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths.get(k, 0), len(cell))
-    return "\n".join(
-        "  ".join(cell.rjust(widths[k]) for k, cell in enumerate(row)).rstrip()
-        for row in rows
-    )
+def _table(rows: list[tuple[str, ...]]) -> str:
+    widths = [max(map(len, col)) for col in zip_longest(*rows, fillvalue="")]
+    return "\n".join("  ".join(map(str.rjust, row, widths)).rstrip() for row in rows)
 
 
-def _triangle_payload(tri: TriMatrix, g_text: str, f: TruncSeries, order: int) -> dict:
+def _cells(tri: TriMatrix) -> list[tuple[str, ...]]:
+    """Every entry rendered once, column by column from the integer form."""
+    return tri.map_rows(lambda col, k: ratio_strs(col.nums[k:], col.den))
+
+
+def _triangle_payload(cells: list[tuple[str, ...]], g_text: str, f: TruncSeries, order: int) -> dict:
     return {
-        "rows": [[rational_str(c) for c in row] for row in tri.rows],
+        "rows": cells,
         "g": g_text,
-        "f_coeffs": [rational_str(c) for c in f.coeffs],
+        "f_coeffs": ratio_strs(f.nums, f.den),
         "order": order,
     }
 
 
 def _print_triangle(tri: TriMatrix, fmt: str, g_text: str, f: TruncSeries,
                     order: int, row_sums: bool = False) -> None:
-    cells = [[rational_str(c) for c in row] for row in tri.rows]
+    cells = _cells(tri)
+    sums = [rational_str(s) for s in tri.row_sums()] if row_sums else None
     if fmt == "json":
-        payload = _triangle_payload(tri, g_text, f, order)
+        payload = _triangle_payload(cells, g_text, f, order)
         if row_sums:
-            payload["row_sums"] = [rational_str(s) for s in tri.row_sums()]
+            payload["row_sums"] = sums
         print(json.dumps(payload))
     elif fmt == "csv":
         if row_sums:
-            cells = [row + [rational_str(s)]
-                     for row, s in zip(cells, tri.row_sums())]
+            cells = [(*row, s) for row, s in zip(cells, sums)]
         print("\n".join(",".join(row) for row in cells))
     else:
         if row_sums:
-            width = max(len(row) for row in cells)
-            cells = [row + [""] * (width - len(row)) + ["|", rational_str(s)]
-                     for row, s in zip(cells, tri.row_sums())]
+            width = len(cells[-1])
+            cells = [(*row, *[""] * (width - len(row)), "|", s)
+                     for row, s in zip(cells, sums)]
         print(_table(cells))
 
 
-def _print_coeffs(coeffs, fmt: str, order: int) -> None:
-    strs = [rational_str(c) for c in coeffs]
+def _print_coeffs(strs: list[str], fmt: str, order: int) -> None:
     if fmt == "json":
         print(json.dumps({"coeffs": strs, "order": order}))
     elif fmt == "csv":
         print(",".join(strs))
     else:
         print(", ".join(strs))
+
+
+def _rows(args, available: int) -> int:
+    """--rows, or by default 10 clamped to the rows there are to print."""
+    return min(10, available) if args.rows is None else args.rows
 
 
 # ---- command handlers ----
@@ -107,7 +111,8 @@ def _pair_from_args(args, g_text: str, f_text: str, warn_stretched: bool = False
 
 def cmd_show(args) -> int:
     pair = _pair_from_args(args, args.g, args.f, warn_stretched=True)
-    _print_triangle(pair.expand(args.rows), args.format, args.g, pair.f, args.order)
+    _print_triangle(pair.expand(_rows(args, pair.available_order)), args.format, args.g,
+                    pair.f, args.order)
     return EXIT_OK
 
 
@@ -116,14 +121,15 @@ def cmd_mul(args) -> int:
     right = _pair_from_args(args, args.g2, args.f2)
     product = left * right
     g_text = f"({args.g1}) * (({args.g2}) composed with f1)"
-    _print_triangle(product.expand(args.rows), args.format, g_text, product.f, args.order)
+    _print_triangle(product.expand(_rows(args, product.available_order)), args.format,
+                    g_text, product.f, args.order)
     return EXIT_OK
 
 
 def cmd_inv(args) -> int:
     pair = _pair_from_args(args, args.g, args.f)
     inv = pair.inverse()
-    _print_triangle(inv.expand(args.rows), args.format,
+    _print_triangle(inv.expand(_rows(args, inv.available_order)), args.format,
                     f"inverse of ({args.g})", inv.f, args.order)
     return EXIT_OK
 
@@ -132,7 +138,10 @@ def cmd_apply(args) -> int:
     pair = _pair_from_args(args, args.g, args.f, warn_stretched=True)
     h = series_from_text(args.h, args.order)
     result = pair.apply(h)
-    _print_coeffs(result.coeffs[:min(args.rows, result.order)], args.format, args.order)
+    rows = _rows(args, result.order)
+    if rows < 1:
+        raise OrderError(f"rows must be positive, got {rows}")
+    _print_coeffs(ratio_strs(result.nums[:rows], result.den), args.format, args.order)
     return EXIT_OK
 
 
@@ -157,8 +166,8 @@ def cmd_az(args) -> int:
 def cmd_stochastic(args) -> int:
     g = series_from_text(args.g, args.order)
     pair = stochastic_from_g(g)
-    _print_triangle(pair.expand(args.rows), args.format, args.g, pair.f,
-                    args.order, row_sums=True)
+    _print_triangle(pair.expand(_rows(args, pair.available_order)), args.format, args.g,
+                    pair.f, args.order, row_sums=True)
     return EXIT_OK
 
 
@@ -166,8 +175,9 @@ def cmd_pseudo_from_g(args) -> int:
     g = series_from_text(args.g, args.order)
     pair = pseudo_from_g(g)
     if args.format == "table":
-        print("f coefficients:", ", ".join(rational_str(c) for c in pair.f.coeffs))
-    _print_triangle(pair.expand(args.rows), args.format, args.g, pair.f, args.order)
+        print("f coefficients:", ", ".join(ratio_strs(pair.f.nums, pair.f.den)))
+    _print_triangle(pair.expand(_rows(args, pair.available_order)), args.format, args.g,
+                    pair.f, args.order)
     return EXIT_OK
 
 
@@ -184,10 +194,12 @@ def cmd_pseudo_check(args) -> int:
 def cmd_pseudo_family(args) -> int:
     f = series_from_text(args.f, args.order)
     members = family_from_f(f)
+    # the hitting-time member has the lowest order, n - 2
+    rows = _rows(args, min(pair.available_order for pair in members))
     if args.format == "json":
         payload = []
         for kind, pair in zip(FAMILY_KINDS, members):
-            entry = _triangle_payload(pair.expand(args.rows), args.f, pair.f, args.order)
+            entry = _triangle_payload(_cells(pair.expand(rows)), args.f, pair.f, args.order)
             entry["kind"] = kind
             payload.append(entry)
         print(json.dumps({"family": payload, "order": args.order}))
@@ -195,14 +207,14 @@ def cmd_pseudo_family(args) -> int:
     for kind, pair in zip(FAMILY_KINDS, members):
         if args.format == "table":
             print(f"-- {kind} --")
-        _print_triangle(pair.expand(args.rows), args.format, args.f, pair.f, args.order)
+        _print_triangle(pair.expand(rows), args.format, args.f, pair.f, args.order)
     return EXIT_OK
 
 
 def cmd_pseudo_power(args) -> int:
     pair = _pair_from_args(args, args.g, args.f)
     powered = power_pseudo(pair, args.n)
-    _print_triangle(powered.expand(args.rows), args.format,
+    _print_triangle(powered.expand(_rows(args, powered.available_order)), args.format,
                     f"({args.g})^{args.n}", powered.f, args.order)
     return EXIT_OK
 
@@ -237,7 +249,8 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=argparse.SUPPRESS,
                    help="series truncation order (default 32)")
     p.add_argument("--rows", type=int, default=argparse.SUPPRESS,
-                   help="rows to display (default 10, or the order if smaller)")
+                   help="rows to display (default 10, or fewer if the result has "
+                        "fewer coefficients)")
     p.add_argument("--format", choices=("table", "csv", "json"),
                    default=argparse.SUPPRESS, help="output format (default table)")
     return p
@@ -325,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.rows is None:
-        args.rows = min(10, args.order)
     try:
         return args.handler(args)
     except (ExprSyntaxError, UnknownNameError) as e:

@@ -67,7 +67,7 @@ def stochastic_from_g(g: TruncSeries) -> RiordanPair:
     g(0) = 1, so other constant terms fail the pair invariant.  The result
     is usually stretched, and f collapses to zero entirely for g = 1/(1-z).
     """
-    if g.coeffs[0] == 0:
+    if not g.nums[0]:
         raise PairInvariantError("stochastic construction needs g(0) != 0")
     f = TruncSeries.z(g.order) * g - g + 1
     return RiordanPair(g, f)
@@ -81,14 +81,14 @@ def pseudo_from_g(g: TruncSeries) -> RiordanPair:
     Computes G = g - 1 and f = -Gbar(-G/g); a deterministic, exact
     replacement for solving the same construction with a symbolic toolbox.
     """
-    if g.coeffs[0] != 1:
+    if g.nums[0] != g.den:
         raise PreconditionError("pseudo-involution construction needs g(0) = 1")
     if g.order < 2:
         raise OrderError(
             f"pseudo-involution construction reads g'(0), so it needs order at "
             f"least 2, got {g.order}"
         )
-    if g.coeffs[1] == 0:
+    if not g.nums[1]:
         raise PreconditionError("pseudo-involution construction needs g'(0) != 0")
     G = g - 1
     f = -(G.reverse().compose(-G / g))
@@ -108,7 +108,7 @@ def power_pseudo(pair: RiordanPair, n: int) -> RiordanPair:
 
 def has_comp_order_two(F: TruncSeries) -> bool:
     """F(F(z)) = z to the available order."""
-    if F.coeffs[0] != 0 or F.order < 2 or F.coeffs[1] == 0:
+    if F.nums[0] or F.order < 2 or not F.nums[1]:
         return False
     return F.compose(F).matches(TruncSeries.z(F.order))
 

@@ -83,7 +83,7 @@ def az_from_series(pair: RiordanPair, terms: int) -> SeqReport:
     pair = pair.truncate(terms + 1)
     fbar = pair.f.reverse()
     a = TruncSeries.z(fbar.order) / fbar
-    z = (1 - pair.g.coeffs[0] / pair.g.compose(fbar)) / fbar
+    z = (1 - pair.g[0] / pair.g.compose(fbar)) / fbar
     return SeqReport(
         a_seq=a.coeffs[:terms],
         z_seq=z.coeffs[:terms],

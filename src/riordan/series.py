@@ -1,19 +1,23 @@
 """Exact truncated formal power series over the rationals.
 
 A TruncSeries stores the first ``order`` coefficients of a power series in
-z, as ``fractions.Fraction`` values; nothing is ever rounded.  Binary
-operations on mismatched orders truncate to the shorter operand (explicit
-truncation, never silent padding).  All values are immutable, so they can
-be shared freely.
+z as integer numerators ``nums`` over one denominator ``den``, in lowest
+terms (den > 0 and gcd(den, *nums) = 1), so equal series have equal
+integers; ``coeffs`` gives the same coefficients as ``fractions.Fraction``
+values, built on first use.  Nothing is ever rounded.  Binary operations on
+mismatched orders truncate to the shorter operand (explicit truncation,
+never silent padding).  All values are immutable, so they can be shared
+freely.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import gcd, isqrt, lcm
 from operator import add, mul
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     CompositionError,
@@ -28,14 +32,21 @@ from .errors import (
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_set = object.__setattr__
 
 
-def rational_str(x: Fraction) -> str:
-    """Render exactly, "p/q" or plain "p" for integers."""
+def ratio_strs(nums: Iterable[int], den: int) -> list[str]:
+    """Each nums[i]/den rendered exactly: "p/q" in lowest terms, or plain "p"
+    for integers.  den must be positive."""
     try:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        if den == 1:
+            return list(map(str, nums))
+        out = []
+        for x in nums:
+            g = gcd(x, den)
+            q = den // g
+            out.append(str(x // g) if q == 1 else f"{x // g}/{q}")
+        return out
     except ValueError:
         raise SeriesError(
             f"coefficient has more than {sys.get_int_max_str_digits()} digits, "
@@ -43,43 +54,32 @@ def rational_str(x: Fraction) -> str:
         ) from None
 
 
-def _exact(c) -> Fraction:
+def rational_str(x: Fraction) -> str:
+    """Render exactly, "p/q" or plain "p" for integers."""
+    return ratio_strs((x.numerator,), x.denominator)[0]
+
+
+def _exact(c) -> int | Fraction:
+    if type(c) is int or type(c) is Fraction:
+        return c
     if isinstance(c, float):
         raise InexactScalarError(
             f"float {c!r} is not exact; pass an int, a Fraction or a 'p/q' string"
         )
-    return c if type(c) is Fraction else Fraction(c)
+    return Fraction(c)
 
 
-def _sqrt_fraction(c: Fraction) -> Fraction | None:
-    if c < 0:
-        return None
-    p, q = c.numerator, c.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp != p or rq * rq != q:
-        return None
-    return Fraction(rp, rq)
+# Kernels below work on the integer form, numerators over one positive
+# denominator, so algorithms that need explicit precision control (Newton
+# reversion) can manage truncation themselves instead of going through the
+# min-order rules.  They accept any positive denominator and return their
+# results in lowest terms.
 
-
-# Kernels below take and return plain lists of Fractions, so algorithms that
-# need explicit precision control (Newton reversion) can manage truncation
-# themselves instead of going through the min-order rules.  Inside, each
-# works on integer numerators over one common denominator and builds
-# Fractions only for its result.
-
-def _scaled(a: list[Fraction]) -> tuple[list[int], int]:
-    """(nums, d) with a[i] = nums[i]/d, d the least common denominator."""
-    d = lcm(*[c.denominator for c in a])
-    if d == 1:
-        return [c.numerator for c in a], 1
-    return [c.numerator * (d // c.denominator) for c in a], d
-
-
-def _fractions(nums: list[int], d: int) -> list[Fraction]:
-    # zeros share one object, as they did when sums started from _ZERO
-    if d == 1:
-        return [Fraction(c) if c else _ZERO for c in nums]
-    return [Fraction(c, d) if c else _ZERO for c in nums]
+def _reduced(nums: Sequence[int], d: int) -> tuple[Sequence[int], int]:
+    """(nums, d) divided by their common factor: d becomes the least common
+    denominator of the values nums[i]/d."""
+    g = gcd(d, *nums)
+    return ([x // g for x in nums], d // g) if g > 1 else (nums, d)
 
 
 def _pack(xs: list[int], width: int) -> int:
@@ -98,30 +98,38 @@ def _pack(xs: list[int], width: int) -> int:
     return u
 
 
-def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
+def _int_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """Product of two integer series mod z^n, by Kronecker substitution.
 
     Each operand becomes one integer holding a coefficient per slot of
     ``width`` bytes, so CPython's big-integer product does the whole
-    convolution.  A product coefficient is a sum of at most min(len) terms,
-    so its magnitude stays below half a slot, 2^(8*width - 1); adding half
-    a slot to every slot makes all slots nonnegative, and the signed
-    coefficients are read back from the bytes of that sum.
+    convolution.  Only the m slots below z^n are read back: the slots
+    above only add multiples of 2^(8*width*m) to the product, whatever
+    their size.  A kept coefficient c_k, k < m, sums at most
+    t = min(len(a), len(b)) terms a_i*b_j with i + j = k, so
+    |c_k| <= t * max_i |a_i| * max_(j < m-i) |b_j|, the inner maximum a
+    prefix maximum of |b| (all of max |b| when nothing is cut).  Half a
+    slot, 2^(8*width - 1), exceeds that bound (and every operand entry), so
+    adding half a slot to every slot makes all slots nonnegative, and the
+    signed coefficients are read back from the bytes of that sum.
     """
     va = next((i for i, x in enumerate(a) if x), None)
     vb = next((i for i, x in enumerate(b) if x), None)
     if va is None or vb is None or va + vb >= n:
         return [0] * n
     shift = va + vb
-    a = a[va:n - vb]
-    b = b[vb:n - va]
+    a = list(a[va:n - vb])
+    b = list(b[vb:n - va])
     while not a[-1]:
         a.pop()
     while not b[-1]:
         b.pop()
     m = min(n - shift, len(a) + len(b) - 1)
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    width = bound.bit_length() // 8 + 1
+    # a_i pairs with the maximum of |b_0..b_(m-1-i)|; b is at most m long
+    prefix = list(accumulate(map(abs, b), max))
+    prefix += [prefix[-1]] * (m - len(prefix))
+    peak = max(map(mul, map(abs, a), reversed(prefix)))
+    width = (min(len(a), len(b)) * peak).bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
     low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * m)) - 1)
@@ -132,57 +140,46 @@ def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
     return out + [0] * (n - len(out))
 
 
-def _mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    A, da = _scaled(a[:n])
-    B, db = _scaled(b[:n])
-    return _fractions(_int_mul(A, B, n), da * db)
-
-
-def _reduced(nums: list[int], d: int) -> tuple[list[int], int]:
-    """(nums, d) divided by their common factor: d becomes the least common
-    denominator of the values nums[i]/d."""
-    g = gcd(d, *nums)
-    return ([x // g for x in nums], d // g) if g > 1 else (nums, d)
-
-
-def _push(nums: list[int], d: int, q: Fraction) -> int:
-    """Append q to the numerators ``nums`` over the common denominator d and
-    return the new common denominator, rescaling ``nums`` if it grew."""
-    f = q.denominator // gcd(d, q.denominator)
+def _push(nums: list[int], d: int, p: int, q: int) -> int:
+    """Append p/q (q > 0, in lowest terms) to the numerators ``nums`` over the
+    common denominator d and return the new common denominator, rescaling
+    ``nums`` if it grew."""
+    f = q // gcd(d, q)
     if f > 1:
         d *= f
         nums[:] = [x * f for x in nums]
-    nums.append(q.numerator * (d // q.denominator))
+    nums.append(p * (d // q))
     return d
 
 
-def _div(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    """a/b mod z^n; requires b[0] != 0.
+def _div(A: Sequence[int], da: int, B: Sequence[int], db: int,
+         n: int) -> tuple[list[int], int]:
+    """a/b mod z^n for a = A/da and b = B/db; requires B[0] != 0.
 
-    Long division over the integers.  With a = A/da and b = B/db, the
-    quotient's coefficients so far are kept as numerators Q over their
-    least common denominator L, so the next one,
-    q_k = (A_k L db - da sum_{i>=1} B_i Q_(k-i)) / (da L B_0),
-    takes one integer dot product and one gcd.
+    Long division over the integers.  The quotient's coefficients so far
+    are kept as numerators Q over their least common denominator L, so the
+    next one, q_k = (A_k L db - da sum_{i>=1} B_i Q_(k-i)) / (da L B_0),
+    takes one integer dot product and one gcd.  Q over L is the result, in
+    lowest terms because L is the least common denominator.
     """
-    A, da = _scaled(a[:n])
-    B, db = _scaled(b[:n])
+    A = list(A[:n])
     A += [0] * (n - len(A))
-    while not B[-1]:
-        B.pop()
-    b0, tail = B[0], B[1:]
-    out: list[Fraction] = []
+    end = min(len(B), n)
+    while not B[end - 1]:
+        end -= 1
+    b0, tail = B[0], B[1:end]
     Q: list[int] = []
     L = 1
     for k in range(n):
-        q = Fraction(A[k] * L * db - da * sum(map(mul, tail, reversed(Q))), da * L * b0)
-        out.append(q)
-        L = _push(Q, L, q)
-    return out
+        num = A[k] * L * db - da * sum(map(mul, tail, reversed(Q)))
+        den = da * L * b0
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        L = _push(Q, L, num // g, den // g)
+    return Q, L
 
 
-def _compose_many(outers: list[list[Fraction]], inner: list[Fraction],
-                  n: int) -> list[list[Fraction]]:
+def _compose_many(outers: list[tuple[Sequence[int], int]], inner: tuple[Sequence[int], int],
+                  n: int) -> list[tuple[list[int], int]]:
     """Each outer(inner) mod z^n, all sharing one table of powers of inner.
 
     Baby-step/giant-step (Brent & Kung 1978, section 2.1): with k about the
@@ -194,32 +191,33 @@ def _compose_many(outers: list[list[Fraction]], inner: list[Fraction],
     series products instead of n.  Requires inner[0] == 0.
 
     Powers and partial sums are integer numerators over their least common
-    denominator; Fractions are built only for the results.
+    denominator; an outer O/do is composed as the integer series O, and its
+    result divided by do.
     """
-    inner = inner[:n]
-    v = next((i for i, c in enumerate(inner) if c), None)
+    I, di = inner
+    I = I[:n]
+    v = next((i for i, c in enumerate(I) if c), None)
     if v is None:
-        return [[o[0]] + [_ZERO] * (n - 1) for o in outers]
+        return [_reduced([O[0]] + [0] * (n - 1), do) for O, do in outers]
     # outer[i] multiplies a power of valuation i*v, which vanishes once i*v >= n
-    m = min(-(-n // v), max(len(o) for o in outers))
+    m = min(-(-n // v), max(len(O) for O, _ in outers))
     k = isqrt(m - 1) + 1
-    I, di = _scaled(inner)
     powers = [([1] + [0] * (n - 1), 1)]
     for _ in range(k):
         P, dp = powers[-1]
         powers.append(_reduced(_int_mul(P, I, n), dp * di))
     giant, dg = powers.pop()
     results = []
-    for outer in outers:
-        outer = outer[:m]
+    for O, do in outers:
+        O = O[:m]
         acc, da = [], 1
-        for start in reversed(range(0, len(outer), k)):
+        for start in reversed(range(0, len(O), k)):
             # this partial sum is multiplied by inner^start, of valuation
             # start*v, so it is only needed mod z^(n - start*v)
             prec = n - start * v
-            terms = [(i, c) for i, c in enumerate(outer[start:start + k]) if c]
-            d = lcm(*[c.denominator * powers[i][1] for i, c in terms])
-            if start + k < len(outer):
+            terms = [(i, c) for i, c in enumerate(O[start:start + k]) if c]
+            d = lcm(*[powers[i][1] for i, _ in terms])
+            if start + k < len(O):
                 block = _int_mul(acc, giant, prec)
                 d = lcm(d, da * dg)
                 f = d // (da * dg)
@@ -229,11 +227,11 @@ def _compose_many(outers: list[list[Fraction]], inner: list[Fraction],
                 block = [0] * prec
             for i, c in terms:
                 P, dp = powers[i]
-                f = c.numerator * (d // (c.denominator * dp))
+                f = c * (d // dp)
                 lo = i * v
                 block[lo:prec] = map(add, block[lo:prec], map(f.__mul__, P[lo:prec]))
             acc, da = _reduced(block, d)
-        results.append(_fractions(acc + [0] * (n - len(acc)), da))
+        results.append(_reduced(acc + [0] * (n - len(acc)), da * do))
     return results
 
 
@@ -243,29 +241,63 @@ def compose_many(outers: list[TruncSeries], inner: TruncSeries) -> list[TruncSer
     Each result keeps the min-order rule of ``compose``: it is known to
     min(outer.order, inner.order) coefficients.
     """
-    if inner.coeffs[0] != 0:
+    if inner.nums[0]:
         raise CompositionError("inner series must have zero constant term")
     orders = [min(o.order, inner.order) for o in outers]
     n = max(orders)
-    outs = _compose_many([list(o.coeffs[:n]) for o in outers], list(inner.coeffs[:n]), n)
-    return [TruncSeries(out[:m]) for out, m in zip(outs, orders)]
+    outs = _compose_many([(o.nums, o.den) for o in outers], (inner.nums, inner.den), n)
+    return [_series(nums[:m], d) for (nums, d), m in zip(outs, orders)]
+
+
+def _make(nums: Iterable[int], den: int) -> TruncSeries:
+    """The series nums/den; den > 0 and gcd(den, *nums) = 1 already hold."""
+    s = object.__new__(TruncSeries)
+    _set(s, "nums", tuple(nums))
+    _set(s, "den", den)
+    _set(s, "_coeffs", None)
+    return s
+
+
+def _series(nums: Sequence[int], den: int) -> TruncSeries:
+    """The series nums/den, for any positive den."""
+    return _make(*_reduced(nums, den))
 
 
 class TruncSeries:
     """A power series known modulo z**order (order = number of coefficients)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(_exact(c) for c in coeffs)
+        cs = [_exact(c) for c in coeffs]
         if not cs:
             raise OrderError("a series needs at least one coefficient")
-        object.__setattr__(self, "coeffs", cs)
+        # the least common denominator of values in lowest terms leaves the
+        # numerators with no factor in common with it
+        d = lcm(*[c.denominator for c in cs])
+        _set(self, "nums", tuple([c.numerator * (d // c.denominator) for c in cs]))
+        _set(self, "den", d)
+        _set(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
+
+    def __reduce__(self):
+        return _make, (self.nums, self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first use."""
+        cs = self._coeffs
+        if cs is None:
+            d = self.den
+            cs = tuple(map(Fraction, self.nums)) if d == 1 else \
+                tuple([Fraction(x, d) for x in self.nums])
+            _set(self, "_coeffs", cs)
+        return cs
 
     # ---- constructors ----
 
@@ -295,26 +327,22 @@ class TruncSeries:
         if order < 1:
             raise OrderError(f"order must be positive, got {order}")
         cs = [_exact(c) for c in coeffs][:order]
-        cs += [_ZERO] * (order - len(cs))
-        return cls(cs)
+        return cls(cs + [0] * (order - len(cs)))
 
     # ---- basic queries ----
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
 
     def __getitem__(self, i: int) -> Fraction:
         if not 0 <= i < self.order:
             raise OrderError(f"coefficient {i} not known at order {self.order}")
-        return self.coeffs[i]
+        return Fraction(self.nums[i], self.den)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None if zero to order."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        return next((i for i, x in enumerate(self.nums) if x), None)
 
     @property
     def is_zero(self) -> bool:
@@ -323,12 +351,12 @@ class TruncSeries:
     def truncate(self, order: int) -> TruncSeries:
         if not 1 <= order <= self.order:
             raise OrderError(f"cannot truncate order {self.order} to {order}")
-        return TruncSeries(self.coeffs[:order])
+        return _series(self.nums[:order], self.den)
 
     def matches(self, other: TruncSeries) -> bool:
         """Coefficientwise equality to the common order."""
         n = min(self.order, other.order)
-        return self.coeffs[:n] == other.coeffs[:n]
+        return self.truncate(n) == other.truncate(n)
 
     # ---- ring operations ----
 
@@ -339,12 +367,17 @@ class TruncSeries:
             return TruncSeries.constant(other, self.order)
         return None
 
+    def _plus(self, o: TruncSeries, sign: int) -> TruncSeries:
+        """self + sign*o over the lcm of the two denominators."""
+        d = lcm(self.den, o.den)
+        fa, fb = d // self.den, sign * (d // o.den)
+        return _series([x * fa + y * fb for x, y in zip(self.nums, o.nums)], d)
+
     def __add__(self, other) -> TruncSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        return TruncSeries(a + b for a, b in zip(self.coeffs[:n], o.coeffs[:n]))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -352,8 +385,7 @@ class TruncSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        return TruncSeries(a - b for a, b in zip(self.coeffs[:n], o.coeffs[:n]))
+        return self._plus(o, -1)
 
     def __rsub__(self, other) -> TruncSeries:
         o = self._coerce(other)
@@ -362,14 +394,14 @@ class TruncSeries:
         return o - self
 
     def __neg__(self) -> TruncSeries:
-        return TruncSeries(-c for c in self.coeffs)
+        return _make([-x for x in self.nums], self.den)
 
     def __mul__(self, other) -> TruncSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         n = min(self.order, o.order)
-        return TruncSeries(_mul(list(self.coeffs), list(o.coeffs), n))
+        return _series(_int_mul(self.nums, o.nums, n), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -395,8 +427,7 @@ class TruncSeries:
                 )
             if n - bv < 1:
                 raise OrderError("valuation cancellation consumes the whole order")
-        m = n - bv
-        return TruncSeries(_div(list(self.coeffs[bv:]), list(o.coeffs[bv:]), m))
+        return _make(*_div(self.nums[bv:n], self.den, o.nums[bv:n], o.den, n - bv))
 
     def __rtruediv__(self, other) -> TruncSeries:
         o = self._coerce(other)
@@ -437,22 +468,25 @@ class TruncSeries:
         n = self.order
         if n < 2:
             raise ReversionError("reversion needs at least two coefficients")
-        a = list(self.coeffs)
-        if a[0] != 0:
+        A, d = self.nums, self.den
+        if A[0]:
             raise ReversionError("constant term must be zero")
-        if a[1] == 0:
+        if not A[1]:
             raise ReversionError("linear coefficient must be nonzero")
-        da = [(i + 1) * a[i + 1] for i in range(n - 1)]
-        g = [_ZERO, 1 / a[1]]
+        dA = list(map(mul, range(1, n), A[1:]))
+        # r starts as z/a_1 = z*d/A_1
+        G, dg = _reduced([0, d if A[1] > 0 else -d], abs(A[1]))
         prec = 2
         while prec < n:
             prec = min(2 * prec, n)
-            g = g + [_ZERO] * (prec - len(g))
-            fg, dfg = _compose_many([a[:prec], da[:prec]], g, prec)
-            fg[1] -= 1
-            corr = _div(fg, dfg, prec)
-            g = [gi - ci for gi, ci in zip(g, corr)]
-        return TruncSeries(g[:n])
+            G = G + [0] * (prec - len(G))
+            (F, df), (DF, ddf) = _compose_many([(A[:prec], d), (dA[:prec], d)], (G, dg), prec)
+            F[1] -= df
+            C, dc = _div(F, df, DF, ddf, prec)
+            L = lcm(dg, dc)
+            fg, fc = L // dg, L // dc
+            G, dg = _reduced([x * fg - y * fc for x, y in zip(G, C)], L)
+        return _make(G[:n], dg)
 
     def sqrt(self) -> TruncSeries:
         """Square root branch with positive constant term.
@@ -461,27 +495,25 @@ class TruncSeries:
         every closed form this package evaluates); callers wanting the other
         branch negate the result.
         """
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        C, dc = self.nums, self.den
+        if C[0] == 0:
             raise SqrtError("constant term must be nonzero")
-        r0 = _sqrt_fraction(c0)
-        if r0 is None:
-            raise SqrtError(f"{rational_str(c0)} is not a perfect rational square")
-        # as in _div: with self = C/dc and r_1..r_(k-1) kept as numerators R
-        # over their least common denominator L,
+        g = gcd(C[0], dc)
+        c0, d0 = C[0] // g, dc // g
+        p, q = isqrt(max(c0, 0)), isqrt(d0)
+        if c0 < 0 or p * p != c0 or q * q != d0:
+            raise SqrtError(f"{ratio_strs((c0,), d0)[0]} is not a perfect rational square")
+        # as in _div: with r_0..r_(k-1) kept as numerators R over their
+        # least common denominator L,
         # r_k = (c_k - sum_{i=1..k-1} r_i r_(k-i)) / (2 r_0)
-        #     = (C_k L^2 - dc sum R_i R_(k-i)) / (2 r_0 dc L^2)
-        C, dc = _scaled(list(self.coeffs))
-        p, q = r0.numerator, r0.denominator
-        out = [r0]
-        R: list[int] = []
-        L = 1
+        #     = (C_k L^2 - dc sum R_i R_(k-i)) / (2 R_0 dc L)
+        R, L = [p], q
         for k in range(1, self.order):
-            r = Fraction((C[k] * L * L - dc * sum(map(mul, R, reversed(R)))) * q,
-                         2 * p * dc * L * L)
-            out.append(r)
-            L = _push(R, L, r)
-        return TruncSeries(out)
+            num = C[k] * L * L - dc * sum(map(mul, islice(R, 1, None), reversed(R)))
+            den = 2 * R[0] * dc * L
+            g = gcd(num, den)
+            L = _push(R, L, num // g, den // g)
+        return _make(R, L)
 
     def derivative(self) -> TruncSeries:
         """Termwise derivative; the order drops by one.
@@ -490,25 +522,27 @@ class TruncSeries:
         rather than an empty series.
         """
         if self.order == 1:
-            return TruncSeries([_ZERO])
-        return TruncSeries(i * self.coeffs[i] for i in range(1, self.order))
+            return _make((0,), 1)
+        return _series(list(map(mul, range(1, self.order), self.nums[1:])), self.den)
 
     def alternate(self) -> TruncSeries:
         """Coefficients of self(-z)."""
-        return TruncSeries(-c if i % 2 else c for i, c in enumerate(self.coeffs))
+        nums = list(self.nums)
+        nums[1::2] = [-x for x in nums[1::2]]
+        return _make(nums, self.den)
 
     # ---- dunder plumbing ----
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def __repr__(self) -> str:
-        return f"TruncSeries([{', '.join(rational_str(c) for c in self.coeffs)}])"
+        return f"TruncSeries([{', '.join(ratio_strs(self.nums, self.den))}])"
 
     def __str__(self) -> str:
         parts = []

@@ -48,6 +48,15 @@ def compose_naive(outer, inner, n: int) -> list[Fraction]:
     return out
 
 
+def expand_naive(g, f, rows: int) -> list[list[Fraction]]:
+    """Leading rows of the Riordan array (g, f): column k is g*f^k, each
+    power by plain convolution."""
+    cols = [[Fraction(c) for c in g[:rows]]]
+    for _ in range(rows - 1):
+        cols.append(convolve(cols[-1], f[:rows])[:rows])
+    return [[cols[k][n] for k in range(n + 1)] for n in range(rows)]
+
+
 def tri_product(a_rows, b_rows) -> list[list[Fraction]]:
     """Row-by-column product of lower-triangular row lists."""
     n = min(len(a_rows), len(b_rows))

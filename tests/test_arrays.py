@@ -1,6 +1,8 @@
 """Riordan pairs: expansion, group law, inverses, involution predicates."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from riordan import (
     subgroup_element,
 )
 
-from conftest import mat_vec, random_proper_pair, tri_product
+from conftest import expand_naive, mat_vec, random_proper_pair, tri_product
 
 N = 32
 
@@ -325,3 +327,35 @@ def test_trimatrix_shape_validation():
 
 def test_row_sums():
     assert [int(s) for s in pascal().expand(5).row_sums()] == [1, 2, 4, 8, 16]
+
+
+def test_trimatrix_survives_pickle_and_copy():
+    tri = lucas_pi().expand(6)
+    for clone in (pickle.loads(pickle.dumps(tri)), copy.copy(tri), copy.deepcopy(tri)):
+        assert clone == tri and hash(clone) == hash(tri)
+        assert clone.rows == tri.rows
+
+
+def test_rows_and_row_sums_with_mixed_denominators():
+    rng = random.Random("mixed denominators")
+
+    def rational(prime):
+        return Fraction(rng.randint(-9, 9), prime ** rng.randint(0, 2))
+
+    for rows in (1, 2, 7, 12):
+        for _ in range(5):
+            g = [Fraction(rng.choice((1, -1)), rng.choice((1, 2, 4)))] + \
+                [rational(rng.choice((2, 3))) for _ in range(rows - 1)]
+            f = [Fraction(0), Fraction(rng.choice((1, 2, 3)), rng.choice((1, 5)))] + \
+                [rational(5) for _ in range(rows - 2)]
+            tri = RiordanPair(TruncSeries(g), TruncSeries(f[:max(rows, 2)])).expand(rows)
+            oracle = expand_naive(g, f, rows)
+            assert [list(row) for row in tri.rows] == oracle
+            assert all(type(c) is Fraction for row in tri.rows for c in row)
+            sums = [sum(row, Fraction(0)) for row in oracle]
+            assert list(tri.row_sums()) == sums
+            assert all(type(s) is Fraction for s in tri.row_sums())
+            rebuilt = TriMatrix(oracle)
+            assert rebuilt == tri and list(rebuilt.row_sums()) == sums
+            for col in tri.columns:
+                assert col.den > 0 and math.gcd(col.den, *col.nums) == 1

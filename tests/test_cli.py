@@ -298,6 +298,49 @@ def test_default_rows_are_clamped_to_the_order(capsys):
     assert len(out.splitlines()) == 10
 
 
+@pytest.mark.parametrize("order", (3, 8, 11))
+def test_family_default_rows_fit_every_member(capsys, order):
+    # the hitting-time member has order n - 2, the Bell and derivative
+    # members n - 1
+    code, out, err = run(capsys, "pseudo", "family", "fib_f", "--order", str(order))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    headers = [line for line in lines if line.startswith("-- ")]
+    assert headers == [f"-- {kind} --" for kind in
+                       ("associated", "bell", "derivative", "hitting_time")]
+    assert len(lines) == 4 + 4 * min(10, order - 2)
+
+
+@pytest.mark.parametrize("rows", ("-2", "0"))
+def test_apply_rejects_rows_below_one(capsys, rows):
+    code, out, err = run(capsys, "apply", "1/(1-z)", "z", "z/(1-z)", "--order", "6",
+                         "--rows", rows)
+    assert (code, out) == (3, "")
+    assert f"rows must be positive, got {rows}" in err
+
+
+@pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+@pytest.mark.parametrize("command", (["show", *PASCAL], ["stochastic", "lucas"],
+                                     ["apply", *PASCAL, "1/(1-z)"]))
+def test_rows_printed_match_the_rows_asked_for(capsys, command, fmt):
+    for rows, expected in ((None, 7), ("1", 1), ("5", 5), ("0", None), ("-2", None)):
+        argv = [*command, "--order", "7", "--format", fmt]
+        code, out, err = run(capsys, *argv, *(("--rows", rows) if rows else ()))
+        if expected is None:
+            assert (code, out) == (3, "")
+            assert f"rows must be positive, got {rows}" in err
+            continue
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)
+            printed = len(payload["coeffs"] if command[0] == "apply" else payload["rows"])
+        elif command[0] == "apply":
+            printed = len(out.strip().split(", " if fmt == "table" else ","))
+        else:
+            printed = len(out.splitlines())
+        assert printed == expected
+
+
 def test_explicit_rows_past_the_order_still_fail(capsys):
     code, out, err = run(capsys, "show", "1", "z", "--order", "8", "--rows", "9")
     assert (code, out) == (3, "")

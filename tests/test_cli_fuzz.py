@@ -3,12 +3,13 @@ without a traceback."""
 
 import contextlib
 import io
+import json
 import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riordan import cli, gf_names
+from riordan import cli, gf_names, series_from_text
 from riordan.fixtures import FIXTURES
 
 NAMES = gf_names()
@@ -62,6 +63,32 @@ def command_lines(draw):
     return argv
 
 
+def _flag(argv, name, default=None):
+    return int(argv[argv.index(name) + 1]) if name in argv else default
+
+
+def _rows_printed(argv, out):
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "table"
+    if fmt == "json":
+        payload = json.loads(out)
+        return len(payload["coeffs"] if argv[0] == "apply" else payload["rows"])
+    if argv[0] == "apply":
+        return len(out.strip().split(", " if fmt == "table" else ","))
+    return len(out.splitlines())
+
+
+def _rows_expected(argv):
+    """--rows, or 10 clamped to the order of what is printed; apply prints
+    at most the order of g*h(f)."""
+    order = _flag(argv, "--order", 32)
+    exprs = argv[1:1 + COMMANDS[argv[0]]]
+    available = min(series_from_text(e, order).order for e in exprs)
+    rows = _flag(argv, "--rows")
+    if rows is None:
+        return min(10, available)
+    return min(rows, available) if argv[0] == "apply" else rows
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command_lines())
@@ -78,3 +105,5 @@ def test_random_command_lines_end_in_documented_exit_codes(argv):
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue(), (argv, err.getvalue())
     assert elapsed < 2, (argv, elapsed)
+    if code == 0 and argv[0] in ("show", "apply", "stochastic"):
+        assert _rows_printed(argv, out.getvalue()) == _rows_expected(argv), (argv, out.getvalue())

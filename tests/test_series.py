@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,10 @@ from riordan import (
     SqrtError,
     TruncSeries,
     ValuationError,
+    named_series,
 )
-from riordan.series import _compose_many, _div, _int_mul, _mul, compose_many
+from riordan import series
+from riordan.series import _int_mul, compose_many
 
 from conftest import compose_naive, convolve, longdiv
 
@@ -36,6 +39,34 @@ def ints(s, count=None):
 
 
 FIB_DEN = [1, -1, -1]
+
+
+# The kernels work on the integer form, numerators over one denominator;
+# these adapters let the kernel tests state operands and results as
+# Fraction lists.
+
+def _integer_form(xs):
+    d = lcm(*(Fraction(x).denominator for x in xs))
+    return [int(Fraction(x) * d) for x in xs], d
+
+
+def _lowest_terms(nums, d):
+    assert d > 0 and gcd(d, *nums) == 1
+    return [Fraction(x, d) for x in nums]
+
+
+def _mul(a, b, n):
+    (A, da), (B, db) = _integer_form(a), _integer_form(b)
+    return [Fraction(x, da * db) for x in _int_mul(A, B, n)]
+
+
+def _div(a, b, n):
+    return _lowest_terms(*series._div(*_integer_form(a), *_integer_form(b), n))
+
+
+def _compose_many(outers, inner, n):
+    return [_lowest_terms(*r) for r in series._compose_many(
+        [_integer_form(o) for o in outers], _integer_form(inner), n)]
 
 
 # ---- addition ----
@@ -543,3 +574,103 @@ def test_products_at_the_signed_slot_boundary(length):
                 assert _int_mul(a, b, n) == expected
                 assert _mul([Fraction(x) for x in a], [Fraction(x) for x in b], n) == expected
     assert at_byte_edge
+
+
+# ---- the slot bound of truncated products ----
+
+def _int_product(a, b, n):
+    return ([int(c) for c in convolve(a, b)] + [0] * n)[:n]
+
+
+@pytest.mark.parametrize("length", (2, 3, 8, 17))
+@pytest.mark.parametrize("ratio", (3, 2 ** 16 + 1, 2 ** 40 - 3))
+def test_truncated_products_with_geometric_growth(length, ratio):
+    # |a_i| and |b_j| grow like ratio^i, so every kept coefficient c_k is
+    # about (k+1)*ratio^k, and the discarded ones above z^n are far wider
+    # than the slot sized for the kept ones: their carries and borrows must
+    # stay above the kept slots
+    rng = random.Random(f"geometric/{length}/{ratio}")
+    for signs in ("+", "-", "alternating", "random"):
+        def sign(i):
+            return {"+": 1, "-": -1, "alternating": (-1) ** i,
+                    "random": rng.choice((1, -1))}[signs]
+        a = [sign(i) * ratio ** i for i in range(length)]
+        b = [sign(j) * (ratio ** j + rng.randint(0, ratio - 1)) for j in range(length)]
+        full = 2 * length - 1
+        # truncated on and just above the operand length, and untruncated
+        for n in (length, length + 1, full - 1, full, full + 2):
+            assert _int_mul(a, b, n) == _int_product(a, b, n), n
+            assert _int_mul(b, a, n) == _int_product(a, b, n), n
+        # growth that only one operand has: b_0 is the prefix maximum of b
+        rev = b[::-1]
+        for n in (length, full - 1):
+            assert _int_mul(a, rev, n) == _int_product(a, rev, n), n
+            assert _int_mul(rev, a, n) == _int_product(a, rev, n), n
+
+
+@pytest.mark.parametrize("length", (1, 2, 3, 5))
+def test_truncated_products_at_the_signed_slot_boundary(length):
+    # cut at n = length, the kept coefficient c_(n-1) is a sum of length
+    # terms (2^k - 1)^2, exactly the bound the slot width is chosen from;
+    # for some k its bit length is 8j - 1 or 8j, where one bit less of slot
+    # would drop the sign
+    at_byte_edge = 0
+    n = length
+    for k in range(1, 70):
+        m = (1 << k) - 1
+        at_byte_edge += (length * m * m).bit_length() % 8 in (0, 7)
+        for sa in (1, -1):
+            for signs in ((1,) * length, (-1,) * length,
+                          tuple((-1) ** i for i in range(length))):
+                a = [sa * m] * length
+                b = [s * m for s in signs]
+                assert _int_mul(a, b, n) == _int_product(a, b, n)
+                # a zero tail in one operand leaves the other one longer
+                short = b[:max(length // 2, 1)]
+                assert _int_mul(a, short, n) == _int_product(a, short, n)
+    assert at_byte_edge
+
+
+# ---- the integer form ----
+
+def _assert_canonical(s):
+    assert isinstance(s.nums, tuple) and all(type(x) is int for x in s.nums)
+    assert type(s.den) is int and s.den > 0
+    assert gcd(s.den, *s.nums) == 1
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert s.coeffs == tuple(Fraction(x, s.den) for x in s.nums)
+
+
+def test_every_kernel_returns_lowest_terms():
+    rng = random.Random("canonical")
+    for _ in range(20):
+        n = rng.randint(2, 12)
+        a = TruncSeries(_rationals(rng, n, 2))
+        b = TruncSeries(_rationals(rng, n, 3))
+        unit = TruncSeries([Fraction(rng.choice((1, -1)) * 3, 4)] + _rationals(rng, n - 1, 5))
+        f = TruncSeries([0, Fraction(2, 9)] + _rationals(rng, n - 2, 3))
+        root = TruncSeries(_truncated_product(unit.coeffs, unit.coeffs, n)).sqrt()
+        results = [a + b, a - b, b - b, -a, a * b, a * 6, a / unit, f / TruncSeries.z(n),
+                   root, a.compose(f), f.reverse(), a.alternate(), a.derivative(),
+                   a.truncate(1), unit ** 3, *compose_many([a, b, f], f)]
+        for s in results:
+            _assert_canonical(s)
+        assert root in (unit, -unit)
+
+
+def test_equal_values_built_by_different_routes_are_equal():
+    def same(x, y):
+        assert x == y and hash(x) == hash(y)
+        assert (x.nums, x.den) == (y.nums, y.den)
+
+    same(TruncSeries([Fraction(2, 4)]), TruncSeries([Fraction(1, 2)]))
+    same(TruncSeries([Fraction(2, 4), 0]), TruncSeries.polynomial(["1/2"], 2))
+    same(TruncSeries([6, Fraction(-9, 3)]), TruncSeries([6, -3]))
+    same(named_series("fib", 24) * named_series("fib", 24), named_series("cfib2", 24))
+    g = poly([1, Fraction(1, 2), Fraction(-1, 3)], 24) / poly([1, Fraction(2, 5)], 24)
+    same(1 / (1 / g), g)
+    same((g * 3) / 3, g)
+    same(g - g, TruncSeries.zero(24))
+    assert len({TruncSeries([Fraction(1, 2)]), TruncSeries([Fraction(3, 6)])}) == 1
+    # order is part of the value
+    assert TruncSeries([1]) != TruncSeries([1, 0])
