@@ -2,8 +2,11 @@
 """Time the layer rows of the ROADMAP's "Where things stand" table.
 
 At each order n the inputs are g = lucas, its pseudo-involution
-p = pseudo_from_g(g) with f = p.f, and the pair q = (fib, z*lucas).  Each
-row is timed in process, best of REPEATS runs (one run at order 256 and
+p = pseudo_from_g(g) with f = p.f, and the pair q = (fib, z*lucas).  The
+row "cli show" runs ``riordan show`` on a pair of named-series
+expressions at order n with n rows, like the benchmark's triangles
+workload, through ``cli.main`` with stdout sent to a StringIO.  Each row
+is timed in process, best of REPEATS runs (one run at order 256 and
 above), and the seconds are printed as one JSON object keyed by order and
 row.  Only the public API is used, so the script also times older
 checkouts of the package.
@@ -11,12 +14,14 @@ Run as ``python scripts/bench_layers.py [--orders 32 64 128 256]``.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import sys
 import time
 
-from riordan import RiordanPair, TruncSeries, named_series, pseudo_from_g
+from riordan import RiordanPair, TruncSeries, cli, named_series, pseudo_from_g
 
 # each row is timed best of REPEATS runs, once at SINGLE_RUN_ORDER and above
 REPEATS = 3
@@ -36,7 +41,15 @@ def layer_rows(n: int) -> dict:
         "p.pseudo_involution_failure()": p.pseudo_involution_failure,
         "p.expand(n)": lambda: p.expand(n),
         "q.expand(n)": lambda: q.expand(n),
+        "cli show": lambda: show(n),
     }
+
+
+def show(n: int) -> None:
+    argv = ["show", "cfib3*fib/lucas", "z*cfib2/fib", "--order", str(n), "--rows", str(n)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"riordan {' '.join(argv)} failed")
 
 
 def best_time(fn, repeats: int) -> float:

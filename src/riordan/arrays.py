@@ -16,7 +16,7 @@ from operator import add
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import OrderError, PairInvariantError, ProprietyError
-from .series import Scalar, TruncSeries, _int_mul, _series, compose_many
+from .series import Scalar, TruncSeries, _columns, _make, compose_many
 
 # the subgroup kinds seeded by f, in the order family_from_f returns them;
 # the fifth kind, appell, is seeded by g
@@ -141,14 +141,8 @@ class RiordanPair:
                 f"{rows} rows requested but only {self.available_order} "
                 f"coefficients are available"
             )
-        # column k is g*f^k, numerators over den(g)*den(f)^k in lowest terms
-        F, df = self.f.nums[:rows], self.f.den
-        col = _series(self.g.nums[:rows], self.g.den)
-        cols = [col]
-        for _ in range(rows - 1):
-            col = _series(_int_mul(col.nums, F, rows), col.den * df)
-            cols.append(col)
-        return TriMatrix.from_columns(cols)
+        cols = _columns(self.g.nums, self.g.den, self.f.nums, self.f.den, rows)
+        return TriMatrix.from_columns([_make(nums, d) for nums, d in cols])
 
     def apply(self, h: TruncSeries) -> TruncSeries:
         """Action on a column vector by generating function: g * h(f)."""

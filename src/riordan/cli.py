@@ -11,6 +11,7 @@ exits 3, so no input ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import zip_longest
@@ -256,7 +257,10 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each ``parse_args``
+    call returns a fresh namespace."""
     common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="riordan",

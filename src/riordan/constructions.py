@@ -13,7 +13,7 @@ from typing import Callable
 
 from .arrays import FAMILY_KINDS, RiordanPair, subgroup_element
 from .errors import OrderError, OrderTwoError, PairInvariantError, PreconditionError
-from .series import TruncSeries
+from .series import TruncSeries, ratio_strs
 
 
 # ---- named generating functions ----
@@ -63,12 +63,13 @@ def named_series(name: str, order: int) -> TruncSeries:
 def stochastic_from_g(g: TruncSeries) -> RiordanPair:
     """Pair (g, -g + z*g + 1), whose expansion has every row sum equal to 1.
 
-    Needs g(0) != 0; the companion f only has a zero constant term when
-    g(0) = 1, so other constant terms fail the pair invariant.  The result
-    is usually stretched, and f collapses to zero entirely for g = 1/(1-z).
+    Needs g(0) = 1, the one constant term that gives f a zero constant
+    term.  The result is usually stretched, and f collapses to zero
+    entirely for g = 1/(1-z).
     """
-    if not g.nums[0]:
-        raise PairInvariantError("stochastic construction needs g(0) != 0")
+    if g.nums[0] != g.den:
+        g0 = ratio_strs(g.nums[:1], g.den)[0]
+        raise PairInvariantError(f"stochastic construction needs g(0) = 1, got g(0) = {g0}")
     f = TruncSeries.z(g.order) * g - g + 1
     return RiordanPair(g, f)
 

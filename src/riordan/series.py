@@ -98,6 +98,19 @@ def _pack(xs: list[int], width: int) -> int:
     return u
 
 
+def _unpack(low: int, width: int, m: int, bias: int) -> list[int]:
+    """The m signed coefficients held in ``low``, whose slot i holds the
+    i-th of them plus half a slot; ``bias`` has half a slot in each slot.
+
+    A slot holding x plus half a slot is x's two's complement with its top
+    bit flipped, so one xor with the bias turns every slot into that.
+    """
+    raw = (low ^ bias).to_bytes(width * m, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, width * m, width)]
+
+
 def _int_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """Product of two integer series mod z^n, by Kronecker substitution.
 
@@ -130,14 +143,71 @@ def _int_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     prefix += [prefix[-1]] * (m - len(prefix))
     peak = max(map(mul, map(abs, a), reversed(prefix)))
     width = (min(len(a), len(b)) * peak).bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
     low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * m)) - 1)
-    raw = low.to_bytes(width * m, "little")
-    from_bytes = int.from_bytes
-    out = [0] * shift
-    out += [from_bytes(raw[i:i + width], "little") - half for i in range(0, width * m, width)]
+    out = [0] * shift + _unpack(low, width, m, bias)
     return out + [0] * (n - len(out))
+
+
+def _columns(G: Sequence[int], dg: int, F: Sequence[int], df: int,
+             n: int) -> list[tuple[list[int], int]]:
+    """The columns g*f^k mod z^n, k < n, of the array (g, f), each as
+    (nums, den) in lowest terms, for g = G/dg with G[0] != 0 and
+    f = F/df with F[0] = 0.
+
+    With f = z^v * h, column k is z^(kv) * C_k, where C_k = C_(k-1) * h
+    mod z^m and m = n - kv.  Each step is a Kronecker product as in
+    ``_int_mul``, with the same slot bound read from bit lengths: the
+    largest bitlen(C_i) + bitlen(max_(j < m-i) |h_j|), plus the bit length
+    of the term count.  The product comes out biased, half a slot added to
+    each of its m slots.  It is unpacked once, for the column's integers,
+    and otherwise stays packed: its low slots at the next, smaller m, minus
+    their bias and divided exactly by the gcd that reduced the column, are
+    the next left operand.  The column is packed again from its integers
+    only when the slot width changes, and h once per width.
+    """
+    C, d = _reduced(G[:n], dg)
+    cols = [(list(C), d)]
+    v = next((i for i, x in enumerate(F[:n]) if x), n)
+    # column k can be nonzero only while kv < n
+    live = min(n, -(-n // v))
+    if live > 1:
+        H, dh = _reduced(F[v:n], df)
+        h_end = len(H)
+        while not H[h_end - 1]:
+            h_end -= 1
+        h_bits = list(accumulate(map(int.bit_length, H), max))
+        packed_h = {}
+        width = low = reduced_by = 0
+        for k in range(1, live):
+            m = n - k * v
+            c_end = m
+            while not C[c_end - 1]:
+                c_end -= 1
+            bits = max(map(add, map(int.bit_length, C[:m]), reversed(h_bits[:m])))
+            w = (bits + min(c_end, h_end).bit_length()) // 8 + 1
+            mask = (1 << (8 * w * m)) - 1
+            bias = int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
+            if w == width:
+                a = (low & mask) - bias
+                if reduced_by > 1:
+                    a //= reduced_by
+            else:
+                width = w
+                a = _pack(C[:c_end], w)
+                if w not in packed_h:
+                    # m only shrinks, so later products read a prefix of these slots
+                    packed_h[w] = _pack(H[:m], w) + bias
+            low = (a * ((packed_h[w] & mask) - bias) + bias) & mask
+            C = _unpack(low, w, m, bias)
+            d *= dh
+            reduced_by = gcd(d, *C)
+            if reduced_by > 1:
+                C = [x // reduced_by for x in C]
+                d //= reduced_by
+            cols.append(([0] * (k * v) + C, d))
+    cols += [([0] * n, 1) for _ in range(live, n)]
+    return cols
 
 
 def _push(nums: list[int], d: int, p: int, q: int) -> int:

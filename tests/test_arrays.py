@@ -1,6 +1,7 @@
 """Riordan pairs: expansion, group law, inverses, involution predicates."""
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -17,6 +18,7 @@ from riordan import (
     TruncSeries,
     named_series,
     pseudo_from_g,
+    series,
     subgroup_element,
 )
 
@@ -98,6 +100,122 @@ def test_expand_requires_enough_order():
         pascal(8).expand(9)
     with pytest.raises(OrderError):
         pascal().expand(0)
+
+
+# ---- the packed column chain behind expand ----
+
+def _expands_like_naive(g, f, rows):
+    tri = RiordanPair(TruncSeries(g), TruncSeries(f)).expand(rows)
+    assert [list(row) for row in tri.rows] == expand_naive(g, f, rows)
+    for col in tri.columns:
+        assert col.order == rows and col.den > 0 and math.gcd(col.den, *col.nums) == 1
+    return tri
+
+
+def _recorded_pack_widths(monkeypatch):
+    widths = []
+    pack = series._pack
+
+    def recording(xs, width):
+        widths.append(width)
+        return pack(xs, width)
+
+    monkeypatch.setattr(series, "_pack", recording)
+    return widths
+
+
+def test_column_chain_slot_widths_grow_then_shrink(monkeypatch):
+    # f = z*(1 + 2^40 z): entry j of column k is C(k, j) * 2^(40j), kept for
+    # j < n - k, so the widest kept entry grows until k is about n/2 and
+    # then shrinks; each width change repacks the column
+    n = 16
+    for g in ([1] + [0] * (n - 1), [Fraction(3, 2), -1, 5] + [0] * (n - 3)):
+        widths = _recorded_pack_widths(monkeypatch)
+        _expands_like_naive(g, [0, 1, 2 ** 40] + [0] * (n - 3), n)
+        top = widths.index(max(widths))
+        assert 0 < top < len(widths) - 1 and widths[-1] < widths[top] - 10
+
+
+def test_column_chain_packs_twice_when_the_width_cannot_change(monkeypatch):
+    widths = _recorded_pack_widths(monkeypatch)
+    tri = RiordanPair.identity(40).expand(40)
+    assert len(widths) == 2
+    assert tri == TriMatrix([[int(n == k) for k in range(n + 1)] for n in range(40)])
+
+
+@pytest.mark.parametrize("v", (2, 3))
+def test_column_chain_with_stretched_f(v):
+    rng = random.Random(f"stretched/{v}")
+    n = 13
+    for rows in (1, 2, 3, v, v + 1, 2 * v + 1, n):
+        for _ in range(4):
+            g = [rng.choice((1, -2, Fraction(1, 3)))] + \
+                [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n - 1)]
+            f = [0] * v + [rng.choice((1, -1, Fraction(2, 5)))] + \
+                [Fraction(rng.randint(-9, 9), rng.choice((1, 5))) for _ in range(n - v - 1)]
+            _expands_like_naive(g, f, rows)
+
+
+def test_column_chain_with_zero_f_and_f_past_the_rows():
+    g = [2, Fraction(1, 2), -3, 0, 7]
+    for f in ([0] * 5, [0, 0, 0, 0, 5]):
+        for rows in (1, 2, 3, 4, 5):
+            tri = _expands_like_naive(g, f, rows)
+            assert tri.columns[0] == TruncSeries(g[:rows])
+            zeros = len(f) - 1 if f[-1] else 1
+            assert all(col.is_zero and col.den == 1 for col in tri.columns[zeros:])
+
+
+@pytest.mark.parametrize("rows", (1, 2, 3))
+def test_column_chain_at_one_to_three_rows(rows):
+    rng = random.Random(f"few rows/{rows}")
+    for _ in range(30):
+        g = [Fraction(rng.choice((1, -1, 3)), rng.choice((1, 2, 4)))] + \
+            [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(rows - 1)]
+        f = [0, Fraction(rng.randint(-5, 5), rng.choice((1, 3)))] + \
+            [Fraction(rng.randint(-5, 5), rng.choice((1, 7))) for _ in range(rows - 2)]
+        _expands_like_naive(g, f[:max(rows, 2)], rows)
+
+
+def test_column_chain_when_the_gcd_reduces_a_column():
+    # f = 2z(1 + z) against g over 2^12: column k is 2^k (1+z)^k g / 2^12,
+    # so the reduction fires on every column up to 12, and the binomials
+    # grow slowly enough that most products keep their slot width and
+    # read the reduced column from its packed form
+    n = 18
+    g = [Fraction(c, 2 ** 12) for c in (1, 3, -5, 7, 9, -11)] + [0] * (n - 6)
+    tri = _expands_like_naive(g, [0, 2, 2] + [0] * (n - 3), n)
+    dens = [col.den for col in tri.columns]
+    assert dens[:13] == [2 ** (12 - k) for k in range(13)]
+    # random rationals whose numerators share factors with the denominators
+    rng = random.Random("gcd")
+    fired = 0
+    for _ in range(40):
+        rows = rng.randint(4, 12)
+        g = [Fraction(rng.choice((1, 3, 5)), rng.choice((4, 6, 36)))] + \
+            [Fraction(6 * rng.randint(-4, 4), rng.choice((1, 4, 9))) for _ in range(rows - 1)]
+        f = [0, Fraction(rng.choice((2, 3, 6, -6)))] + \
+            [Fraction(6 * rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rows - 2)]
+        tri = _expands_like_naive(g, f, rows)
+        df = TruncSeries(f).den
+        fired += any(b.den < a.den * df for a, b in zip(tri.columns[:-2], tri.columns[1:-1]))
+    assert fired > 20
+
+
+@pytest.mark.parametrize("rows", (3, 5, 8))
+def test_column_chain_at_the_signed_slot_boundary(rows):
+    # entries +-(2^k - 1); for some k a column's widest entry has bit
+    # length 8j - 1, filling half a slot of j bytes exactly
+    at_byte_edge = 0
+    for k in range(1, 48):
+        m = (1 << k) - 1
+        for g0, signs in itertools.product((m, -m), ("+", "-", "alternating")):
+            f = [0] + [{"+": m, "-": -m, "alternating": (-1) ** j * m}[signs]
+                       for j in range(rows - 1)]
+            tri = _expands_like_naive([g0] * rows, f, rows)
+            widest = max(abs(x) for col in tri.columns for x in col.nums)
+            at_byte_edge += widest.bit_length() % 8 == 7
+    assert at_byte_edge
 
 
 # ---- group law ----

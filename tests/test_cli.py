@@ -1,8 +1,12 @@
 """End-to-end checks of the command-line surface and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -217,6 +221,12 @@ def test_stochastic_rejects_zero_constant(capsys):
     assert code == 3
 
 
+def test_stochastic_names_the_failed_constant_term(capsys):
+    code, out, err = run(capsys, "stochastic", "1/2+z")
+    assert (code, out) == (3, "")
+    assert err == "error: stochastic construction needs g(0) = 1, got g(0) = 1/2\n"
+
+
 # ---- pseudo ----
 
 def test_pseudo_from_g_lucas(capsys):
@@ -355,6 +365,32 @@ def test_internal_error_is_one_line_with_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "az", *PASCAL)
     assert (code, out) == (3, "")
     assert err == "error: internal error (KeyError): 8\n"
+
+
+def test_one_process_runs_commands_like_separate_processes():
+    # the parser is built once per process and reused by every main() call
+    commands = [["show", *PASCAL, "--rows", "4"],
+                ["show", "--order", "x", *PASCAL],
+                ["stochastic", "lucas", "--rows", "3", "--format", "csv"],
+                ["show", *PASCAL, "--rows", "4", "--format", "json"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    separate = []
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "riordan.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        separate.append((done.returncode, done.stdout, done.stderr))
+    together = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:  # argparse rejecting the command line
+                code = e.code
+        together.append((code, out.getvalue(), err.getvalue()))
+    assert together == separate
+    assert [code for code, _, _ in together] == [0, 2, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
 
 
 # ---- parse errors ----

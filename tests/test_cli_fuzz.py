@@ -37,6 +37,18 @@ expressions = st.one_of(
     st.text(alphabet="z0123+-*/^().sqrtfibluca_", max_size=12),
 )
 
+# valid inputs for the commands that print rows: every g has g(0) = 1 and
+# every f a zero constant term, so these runs fail only on the --order or
+# --rows drawn for them
+units = st.sampled_from(("fib", "lucas", "cfib2", "cfib3", "1", "1/(1-z)", "1+z^2"))
+valid_g = st.one_of(units, st.tuples(units, st.sampled_from("*/"), units).map(
+    lambda t: f"({t[0]}){t[1]}({t[2]})"))
+valid_f = st.one_of(st.sampled_from(("fib_f", "lucas_f")),
+                    st.tuples(st.sampled_from(("z", "z^2", "z^3")), valid_g).map(
+                        lambda t: f"{t[0]}*({t[1]})"))
+VALID = {"show": (valid_g, valid_f), "apply": (valid_g, valid_f, valid_g),
+         "stochastic": (valid_g,)}
+
 COMMANDS = {
     "show": 2, "mul": 4, "inv": 2, "apply": 3, "az": 2, "stochastic": 1,
     "pseudo from-g": 1, "pseudo check": 2, "pseudo family": 1, "pseudo power": 2,
@@ -46,16 +58,19 @@ COMMANDS = {
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(sorted(COMMANDS) + ["verify"]))
+    valid = command in VALID and draw(st.booleans())
     if command == "verify":
         argv = ["verify", draw(st.sampled_from(
             [f.id for f in FIXTURES] + ["all", "no-such-fixture"]))]
+    elif valid:
+        argv = [command] + [draw(arg) for arg in VALID[command]]
     else:
         argv = command.split() + [draw(expressions) for _ in range(COMMANDS[command])]
     if command == "pseudo power":
         argv.append(str(draw(st.integers(-1, 3))))
     if command == "az" and draw(st.booleans()):
         argv += ["--terms", str(draw(st.integers(-1, 12)))]
-    argv += ["--order", str(draw(st.integers(-1, 12)))]
+    argv += ["--order", str(draw(st.integers(1 if valid else -1, 12)))]
     if draw(st.booleans()):
         argv += ["--rows", str(draw(st.integers(-1, 12)))]
     if draw(st.booleans()):

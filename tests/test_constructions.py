@@ -1,6 +1,7 @@
 """Stochastic arrays, pseudo-involution builders, named series registry."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -106,6 +107,14 @@ def test_stochastic_preconditions():
     # the formula only yields a valid pair for g(0) = 1
     with pytest.raises(PairInvariantError):
         stochastic_from_g(TruncSeries.constant(2, 8))
+
+
+@pytest.mark.parametrize("g0, shown", ((0, "0"), (2, "2"), (Fraction(1, 2), "1/2"),
+                                       (Fraction(-3, 4), "-3/4")))
+def test_stochastic_names_the_constant_term_it_needs(g0, shown):
+    g = TruncSeries([g0, 1, Fraction(1, 3)])
+    with pytest.raises(PairInvariantError, match=f"needs g\\(0\\) = 1, got g\\(0\\) = {shown}$"):
+        stochastic_from_g(g)
 
 
 # ---- pseudo-involutions from g ----
