@@ -141,7 +141,7 @@ class RiordanPair:
                 f"{rows} rows requested but only {self.available_order} "
                 f"coefficients are available"
             )
-        cols = _columns(self.g.nums, self.g.den, self.f.nums, self.f.den, rows)
+        cols = _columns(self.g.nums, self.g.den, self.f.nums, self.f.den, rows, rows)
         return TriMatrix.from_columns([_make(nums, d) for nums, d in cols])
 
     def apply(self, h: TruncSeries) -> TruncSeries:

@@ -98,6 +98,12 @@ def _rows(args, available: int) -> int:
     return min(10, available) if args.rows is None else args.rows
 
 
+def _print_pair(pair: RiordanPair, args, g_text: str, row_sums: bool = False) -> None:
+    """Expand ``pair`` to the rows ``_rows`` gives and print its triangle."""
+    _print_triangle(pair.expand(_rows(args, pair.available_order)), args.format, g_text,
+                    pair.f, args.order, row_sums)
+
+
 # ---- command handlers ----
 
 def _pair_from_args(args, g_text: str, f_text: str, warn_stretched: bool = False) -> RiordanPair:
@@ -112,26 +118,20 @@ def _pair_from_args(args, g_text: str, f_text: str, warn_stretched: bool = False
 
 def cmd_show(args) -> int:
     pair = _pair_from_args(args, args.g, args.f, warn_stretched=True)
-    _print_triangle(pair.expand(_rows(args, pair.available_order)), args.format, args.g,
-                    pair.f, args.order)
+    _print_pair(pair, args, args.g)
     return EXIT_OK
 
 
 def cmd_mul(args) -> int:
     left = _pair_from_args(args, args.g1, args.f1)
     right = _pair_from_args(args, args.g2, args.f2)
-    product = left * right
-    g_text = f"({args.g1}) * (({args.g2}) composed with f1)"
-    _print_triangle(product.expand(_rows(args, product.available_order)), args.format,
-                    g_text, product.f, args.order)
+    _print_pair(left * right, args, f"({args.g1}) * (({args.g2}) composed with f1)")
     return EXIT_OK
 
 
 def cmd_inv(args) -> int:
     pair = _pair_from_args(args, args.g, args.f)
-    inv = pair.inverse()
-    _print_triangle(inv.expand(_rows(args, inv.available_order)), args.format,
-                    f"inverse of ({args.g})", inv.f, args.order)
+    _print_pair(pair.inverse(), args, f"inverse of ({args.g})")
     return EXIT_OK
 
 
@@ -166,9 +166,7 @@ def cmd_az(args) -> int:
 
 def cmd_stochastic(args) -> int:
     g = series_from_text(args.g, args.order)
-    pair = stochastic_from_g(g)
-    _print_triangle(pair.expand(_rows(args, pair.available_order)), args.format, args.g,
-                    pair.f, args.order, row_sums=True)
+    _print_pair(stochastic_from_g(g), args, args.g, row_sums=True)
     return EXIT_OK
 
 
@@ -177,8 +175,7 @@ def cmd_pseudo_from_g(args) -> int:
     pair = pseudo_from_g(g)
     if args.format == "table":
         print("f coefficients:", ", ".join(ratio_strs(pair.f.nums, pair.f.den)))
-    _print_triangle(pair.expand(_rows(args, pair.available_order)), args.format, args.g,
-                    pair.f, args.order)
+    _print_pair(pair, args, args.g)
     return EXIT_OK
 
 
@@ -214,9 +211,7 @@ def cmd_pseudo_family(args) -> int:
 
 def cmd_pseudo_power(args) -> int:
     pair = _pair_from_args(args, args.g, args.f)
-    powered = power_pseudo(pair, args.n)
-    _print_triangle(powered.expand(_rows(args, powered.available_order)), args.format,
-                    f"({args.g})^{args.n}", powered.f, args.order)
+    _print_pair(power_pseudo(pair, args.n), args, f"({args.g})^{args.n}")
     return EXIT_OK
 
 
@@ -265,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Exact Riordan-array toolkit: expand, combine, analyze, verify.",
+        epilog="An expression that starts with '-' goes after '--', which ends the "
+               'options: riordan show --order 4 -- 1 "-z".',
         parents=[common],
     )
     parser.set_defaults(order=32, rows=None, format="table")

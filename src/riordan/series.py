@@ -112,79 +112,63 @@ def _unpack(low: int, width: int, m: int, bias: int) -> list[int]:
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Product of two integer series mod z^n, by Kronecker substitution.
+    """Product of two integer series mod z^n: column 1 of the array (a, b),
+    over denominator 1, so nothing is reduced."""
+    return _columns(a, 1, b, 1, n, 2)[1][0]
 
-    Each operand becomes one integer holding a coefficient per slot of
-    ``width`` bytes, so CPython's big-integer product does the whole
-    convolution.  Only the m slots below z^n are read back: the slots
-    above only add multiples of 2^(8*width*m) to the product, whatever
-    their size.  A kept coefficient c_k, k < m, sums at most
-    t = min(len(a), len(b)) terms a_i*b_j with i + j = k, so
-    |c_k| <= t * max_i |a_i| * max_(j < m-i) |b_j|, the inner maximum a
-    prefix maximum of |b| (all of max |b| when nothing is cut).  Half a
-    slot, 2^(8*width - 1), exceeds that bound (and every operand entry), so
-    adding half a slot to every slot makes all slots nonnegative, and the
-    signed coefficients are read back from the bytes of that sum.
+
+def _columns(G: Sequence[int], dg: int, F: Sequence[int], df: int, n: int,
+             count: int) -> list[tuple[list[int], int]]:
+    """The columns g*f^k mod z^n, k < count, of the array (g, f), each as
+    (nums, den) with n numerators in lowest terms, for g = G/dg and
+    f = F/df; G and F may be shorter or longer than n.  Every series
+    product goes through here: a*b is column 1 of (a, b), and the powers
+    of f are the columns of (1, f).
+
+    With g = z^u * C_0 and f = z^v * h, column k is z^(u+kv) * C_k, where
+    C_k = C_(k-1) * h mod z^m and m = n - u - kv.  Each step is a Kronecker
+    product: C and h each become one integer holding a coefficient per
+    slot of w bytes, so CPython's big-integer product does the whole
+    convolution.  Only the m slots below z^m are kept: the slots above only
+    add multiples of 2^(8*w*m), whatever their size.  A kept coefficient
+    sums at most t = min(len(C), len(h)) terms C_i*h_j with i + j < m, so
+    its absolute value is below 2^b, b the largest bitlen(C_i) +
+    bitlen(max_(j < m-i) |h_j|), plus bitlen(t).  Half a slot, 2^(8w - 1),
+    is at least that bound (and exceeds every operand entry), so adding
+    half a slot to every slot, the bias, makes all slots nonnegative, and
+    the signed coefficients are read back from the bytes of that sum.
+
+    The biased product is unpacked once, for the column's integers, and
+    otherwise stays packed: its low slots at the next m (never larger),
+    minus their bias and divided exactly by the gcd that reduced the
+    column, are the next left operand.  The column is packed again from
+    its integers only when the slot width changes, and h once per width.
     """
-    va = next((i for i, x in enumerate(a) if x), None)
-    vb = next((i for i, x in enumerate(b) if x), None)
-    if va is None or vb is None or va + vb >= n:
-        return [0] * n
-    shift = va + vb
-    a = list(a[va:n - vb])
-    b = list(b[vb:n - va])
-    while not a[-1]:
-        a.pop()
-    while not b[-1]:
-        b.pop()
-    m = min(n - shift, len(a) + len(b) - 1)
-    # a_i pairs with the maximum of |b_0..b_(m-1-i)|; b is at most m long
-    prefix = list(accumulate(map(abs, b), max))
-    prefix += [prefix[-1]] * (m - len(prefix))
-    peak = max(map(mul, map(abs, a), reversed(prefix)))
-    width = (min(len(a), len(b)) * peak).bit_length() // 8 + 1
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
-    low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * m)) - 1)
-    out = [0] * shift + _unpack(low, width, m, bias)
-    return out + [0] * (n - len(out))
-
-
-def _columns(G: Sequence[int], dg: int, F: Sequence[int], df: int,
-             n: int) -> list[tuple[list[int], int]]:
-    """The columns g*f^k mod z^n, k < n, of the array (g, f), each as
-    (nums, den) in lowest terms, for g = G/dg with G[0] != 0 and
-    f = F/df with F[0] = 0.
-
-    With f = z^v * h, column k is z^(kv) * C_k, where C_k = C_(k-1) * h
-    mod z^m and m = n - kv.  Each step is a Kronecker product as in
-    ``_int_mul``, with the same slot bound read from bit lengths: the
-    largest bitlen(C_i) + bitlen(max_(j < m-i) |h_j|), plus the bit length
-    of the term count.  The product comes out biased, half a slot added to
-    each of its m slots.  It is unpacked once, for the column's integers,
-    and otherwise stays packed: its low slots at the next, smaller m, minus
-    their bias and divided exactly by the gcd that reduced the column, are
-    the next left operand.  The column is packed again from its integers
-    only when the slot width changes, and h once per width.
-    """
-    C, d = _reduced(G[:n], dg)
-    cols = [(list(C), d)]
-    v = next((i for i, x in enumerate(F[:n]) if x), n)
-    # column k can be nonzero only while kv < n
-    live = min(n, -(-n // v))
-    if live > 1:
-        H, dh = _reduced(F[v:n], df)
+    u = next((i for i, x in enumerate(G) if x), n)
+    C, d = _reduced(G[u:n], dg)
+    col = [0] * n
+    col[u:u + len(C)] = C
+    cols = [(col, d)]
+    v = next((i for i, x in enumerate(F) if x), n)
+    if count > 1 and u + v < n:
+        H = F[v:n]
         h_end = len(H)
         while not H[h_end - 1]:
             h_end -= 1
+        # bit length of the prefix maximum of |h|, for every m the chain uses
         h_bits = list(accumulate(map(int.bit_length, H), max))
+        h_bits += [h_bits[-1]] * (n - u - v - len(H))
         packed_h = {}
         width = low = reduced_by = 0
-        for k in range(1, live):
-            m = n - k * v
-            c_end = m
+        for k in range(1, count):
+            shift = u + k * v
+            m = n - shift
+            if m < 1:
+                break
+            c_end = min(len(C), m)
             while not C[c_end - 1]:
                 c_end -= 1
-            bits = max(map(add, map(int.bit_length, C[:m]), reversed(h_bits[:m])))
+            bits = max(map(add, map(int.bit_length, C[:c_end]), reversed(h_bits[:m])))
             w = (bits + min(c_end, h_end).bit_length()) // 8 + 1
             mask = (1 << (8 * w * m)) - 1
             bias = int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
@@ -197,16 +181,17 @@ def _columns(G: Sequence[int], dg: int, F: Sequence[int], df: int,
                 a = _pack(C[:c_end], w)
                 if w not in packed_h:
                     # m only shrinks, so later products read a prefix of these slots
-                    packed_h[w] = _pack(H[:m], w) + bias
+                    packed_h[w] = _pack(H[:min(m, h_end)], w) + bias
             low = (a * ((packed_h[w] & mask) - bias) + bias) & mask
             C = _unpack(low, w, m, bias)
-            d *= dh
+            d *= df
             reduced_by = gcd(d, *C)
             if reduced_by > 1:
                 C = [x // reduced_by for x in C]
                 d //= reduced_by
-            cols.append(([0] * (k * v) + C, d))
-    cols += [([0] * n, 1) for _ in range(live, n)]
+            cols.append(([0] * shift + C, d))
+    while len(cols) < count:
+        cols.append(([0] * n, 1))
     return cols
 
 
@@ -255,10 +240,11 @@ def _compose_many(outers: list[tuple[Sequence[int], int]], inner: tuple[Sequence
     Baby-step/giant-step (Brent & Kung 1978, section 2.1): with k about the
     square root of the outer length, outer = sum_j B_j(inner) * inner^(jk),
     where block B_j holds coefficients jk..jk+k-1.  The baby powers
-    inner^0..inner^(k-1) and the giant step inner^k are built once; each
-    block is a linear combination of baby powers and the blocks are joined
-    by Horner's rule in the giant step, so an outer costs about 2*sqrt(n)
-    series products instead of n.  Requires inner[0] == 0.
+    inner^0..inner^(k-1) and the giant step inner^k are built once, as the
+    columns of the array (1, inner); each block is a linear combination of
+    baby powers and the blocks are joined by Horner's rule in the giant
+    step, so an outer costs about 2*sqrt(n) series products instead of n.
+    Requires inner[0] == 0.
 
     Powers and partial sums are integer numerators over their least common
     denominator; an outer O/do is composed as the integer series O, and its
@@ -272,10 +258,7 @@ def _compose_many(outers: list[tuple[Sequence[int], int]], inner: tuple[Sequence
     # outer[i] multiplies a power of valuation i*v, which vanishes once i*v >= n
     m = min(-(-n // v), max(len(O) for O, _ in outers))
     k = isqrt(m - 1) + 1
-    powers = [([1] + [0] * (n - 1), 1)]
-    for _ in range(k):
-        P, dp = powers[-1]
-        powers.append(_reduced(_int_mul(P, I, n), dp * di))
+    powers = _columns([1], 1, I, di, n, k + 1)
     giant, dg = powers.pop()
     results = []
     for O, do in outers:
@@ -471,7 +454,7 @@ class TruncSeries:
         if o is None:
             return NotImplemented
         n = min(self.order, o.order)
-        return _series(_int_mul(self.nums, o.nums, n), self.den * o.den)
+        return _make(*_columns(self.nums, self.den, o.nums, o.den, n, 2)[1])
 
     __rmul__ = __mul__
 

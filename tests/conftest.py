@@ -34,26 +34,39 @@ def convolve(a, b) -> list[Fraction]:
     return out
 
 
+def mul_below(a, b, n: int) -> list[Fraction]:
+    """The n coefficients of a*b mod z^n, by a plain loop over the index
+    pairs i + j < n."""
+    b = [Fraction(x) for x in b[:n]]
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            x = Fraction(x)
+            for j, y in enumerate(b[:n - i]):
+                out[i + j] += x * y
+    return out
+
+
 def compose_naive(outer, inner, n: int) -> list[Fraction]:
-    """sum_i outer[i] * inner^i mod z^n, one plain convolution per power.
+    """sum_i outer[i] * inner^i mod z^n, one plain product per power.
 
     Every outer coefficient is used, however long the outer is.
     """
     out = [Fraction(0)] * n
     power = [Fraction(1)]
     for c in outer:
-        for t, p in enumerate(power[:n]):
+        for t, p in enumerate(power):
             out[t] += Fraction(c) * p
-        power = convolve(power, inner)[:n]
+        power = mul_below(power, inner, n)
     return out
 
 
 def expand_naive(g, f, rows: int) -> list[list[Fraction]]:
     """Leading rows of the Riordan array (g, f): column k is g*f^k, each
-    power by plain convolution."""
+    power by a plain product."""
     cols = [[Fraction(c) for c in g[:rows]]]
     for _ in range(rows - 1):
-        cols.append(convolve(cols[-1], f[:rows])[:rows])
+        cols.append(mul_below(cols[-1], f, rows))
     return [[cols[k][n] for k in range(n + 1)] for n in range(rows)]
 
 

@@ -57,6 +57,13 @@ def test_show_identity(capsys):
     assert out.splitlines() == ["1", "0  1", "0  0  1"]
 
 
+def test_show_takes_a_leading_minus_after_double_dash(capsys):
+    code, out, _ = run(capsys, "show", "--order", "4", "--", "1", "-z")
+    assert code == 0
+    assert out.splitlines() == ["1", "0  -1", "0   0  1", "0   0  0  -1"]
+    assert "after '--'" in cli.build_parser().format_help()
+
+
 def test_show_lucas_pi_closed_form(capsys):
     f_expr = "(1-z-z^2-sqrt(z^4+10*z^3-13*z^2-10*z+1))/(4-2*z)"
     code, out, _ = run(capsys, "show", "(1+z^2)/(1-z-z^2)", f_expr,

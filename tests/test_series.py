@@ -382,6 +382,29 @@ def test_compose_many_zero_inner_keeps_constant_term(n):
     assert [compose_naive(o, zero, n) for o in outers] == expected
 
 
+def test_baby_step_table_packs_the_inner_once_per_slot_width(monkeypatch):
+    # the powers inner^0..inner^k are the columns of the array (1, inner),
+    # so the inner is packed once per slot width, not once per power; the
+    # first power is the inner itself, and the chain may pack it once more
+    # as its left operand when the width changes at the second product
+    n = 48
+    inner = [Fraction(0), Fraction(3)] + [Fraction(0)] * 9 + [Fraction(1, 2)]
+    H = [6] + [0] * 9 + [1]  # the inner over its denominator 2, less its z
+    outer = _outer(random.Random("table"), n)
+    packs = []
+    pack = series._pack
+
+    def recording(xs, width):
+        packs.append((list(xs), width))
+        return pack(xs, width)
+
+    monkeypatch.setattr(series, "_pack", recording)
+    assert _compose_many([outer], inner, n) == [compose_naive(outer, inner, n)]
+    widths = [w for xs, w in packs if len(xs) > 1 and xs == H[:len(xs)]]
+    assert len(set(widths)) > 1
+    assert len(widths) <= len(set(widths)) + 1
+
+
 @pytest.mark.parametrize("n", KERNEL_ORDERS)
 def test_compose_matches_naive_with_mixed_orders(n):
     rng = random.Random(200 + n)
@@ -629,6 +652,36 @@ def test_truncated_products_at_the_signed_slot_boundary(length):
                 short = b[:max(length // 2, 1)]
                 assert _int_mul(a, short, n) == _int_product(a, short, n)
     assert at_byte_edge
+
+
+def test_products_of_operands_with_valuations_and_unequal_lengths():
+    rng = random.Random("valuations")
+    for _ in range(300):
+        a = [0] * rng.randint(0, 4) + [rng.randint(-99, 99) for _ in range(rng.randint(0, 9))]
+        b = [0] * rng.randint(0, 4) + [rng.randint(-99, 99) for _ in range(rng.randint(1, 9))]
+        for n in (1, 2, max(len(a), 1), len(b), len(a) + len(b), rng.randint(1, 20)):
+            assert _int_mul(a, b, n) == _int_product(a, b, n), (a, b, n)
+
+
+@pytest.mark.parametrize("count", (1, 2, 5, 12))
+def test_columns_of_a_unit_f(count):
+    # f(0) != 0: every column keeps all n coefficients, so each product
+    # reads the previous one at the same m; f's entries grow, so the slot
+    # width changes along the chain
+    rng = random.Random(f"unit f/{count}")
+    n = 9
+    for _ in range(10):
+        g = [0] * rng.randint(0, 2) + [Fraction(rng.randint(-9, 9), rng.choice((1, 4)))
+                                       for _ in range(n)]
+        f = [Fraction(rng.choice((1, -2, 7)), rng.choice((1, 3)))] + \
+            [Fraction(rng.randint(-2 ** 20, 2 ** 20), 3) for _ in range(rng.randint(0, n))]
+        (G, dg), (F, df) = _integer_form(g), _integer_form(f)
+        cols = series._columns(G, dg, F, df, n, count)
+        power = [Fraction(c) for c in g]
+        for nums, d in cols:
+            assert len(nums) == n
+            assert _lowest_terms(nums, d) == (power + [Fraction(0)] * n)[:n]
+            power = convolve(power, f)[:n]
 
 
 # ---- the integer form ----
