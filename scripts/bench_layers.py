@@ -3,9 +3,11 @@
 
 At each order n the inputs are g = lucas, its pseudo-involution
 p = pseudo_from_g(g) with f = p.f, and the pair q = (fib, z*lucas).  The
-row "cli show" runs ``riordan show`` on a pair of named-series
-expressions at order n with n rows, like the benchmark's triangles
-workload, through ``cli.main`` with stdout sent to a StringIO.  Each row
+two az rows extract the n - 1 A and Z terms that order n holds, one by
+the production matrix and one by the series formulas.  The row "cli
+show" runs ``riordan show`` on a pair of named-series expressions at
+order n with n rows, like the benchmark's triangles workload, through
+``cli.main`` with stdout sent to a StringIO.  Each row
 is timed in process, best of REPEATS runs (one run at order 256 and
 above), and the seconds are printed as one JSON object keyed by order and
 row.  Only the public API is used, so the script also times older
@@ -21,7 +23,15 @@ import platform
 import sys
 import time
 
-from riordan import RiordanPair, TruncSeries, cli, named_series, pseudo_from_g
+from riordan import (
+    RiordanPair,
+    TruncSeries,
+    az_from_production,
+    az_from_series,
+    cli,
+    named_series,
+    pseudo_from_g,
+)
 
 # each row is timed best of REPEATS runs, once at SINGLE_RUN_ORDER and above
 REPEATS = 3
@@ -39,6 +49,8 @@ def layer_rows(n: int) -> dict:
         "pseudo_from_g(lucas)": lambda: pseudo_from_g(g),
         "p.inverse()": p.inverse,
         "p.pseudo_involution_failure()": p.pseudo_involution_failure,
+        "az_from_production(p, n-1)": lambda: az_from_production(p, n - 1),
+        "az_from_series(p, n-1)": lambda: az_from_series(p, n - 1),
         "p.expand(n)": lambda: p.expand(n),
         "q.expand(n)": lambda: q.expand(n),
         "cli show": lambda: show(n),

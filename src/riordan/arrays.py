@@ -182,12 +182,14 @@ class RiordanPair:
 
     def involution_failure(self, order: int | None = None) -> int | None:
         """First coefficient index violating (g, f)^2 = (1, z), None if none."""
+        self._require_proper("involution check")
         n = self._check_order(order)
         return self._square_failure(self.f, n)
 
     def pseudo_involution_failure(self, order: int | None = None) -> int | None:
         """First index violating the pseudo-involution conditions
         g(z)g(-f(z)) = 1 and -f(-f(z)) = z, None if they hold mod z^order."""
+        self._require_proper("pseudo-involution check")
         n = self._check_order(order)
         return self._square_failure(-self.f, n)
 
@@ -203,11 +205,9 @@ class RiordanPair:
         return None
 
     def is_involution(self, order: int | None = None) -> bool:
-        self._require_proper("involution check")
         return self.involution_failure(order) is None
 
     def is_pseudo_involution(self, order: int | None = None) -> bool:
-        self._require_proper("pseudo-involution check")
         return self.pseudo_involution_failure(order) is None
 
     # ---- dunder plumbing ----

@@ -41,6 +41,10 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_PRECONDITION = 4
 
+# every command's help ends with this
+EPILOG = ("An expression that starts with '-' goes after '--', which ends the "
+          'options: riordan show --order 4 -- 1 "-z".')
+
 
 # ---- rendering ----
 
@@ -260,76 +264,70 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Exact Riordan-array toolkit: expand, combine, analyze, verify.",
-        epilog="An expression that starts with '-' goes after '--', which ends the "
-               'options: riordan show --order 4 -- 1 "-z".',
+        epilog=EPILOG,
         parents=[common],
     )
     parser.set_defaults(order=32, rows=None, format="table")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, parents=[common], epilog=EPILOG)
 
-    p = sub.add_parser("show", parents=[common], help="expand a pair (g, f)")
+    p = command("show", help="expand a pair (g, f)")
     p.add_argument("g")
     p.add_argument("f")
     p.set_defaults(handler=cmd_show)
 
-    p = sub.add_parser("mul", parents=[common], help="group product of two pairs")
+    p = command("mul", help="group product of two pairs")
     p.add_argument("g1")
     p.add_argument("f1")
     p.add_argument("g2")
     p.add_argument("f2")
     p.set_defaults(handler=cmd_mul)
 
-    p = sub.add_parser("inv", parents=[common], help="group inverse of a pair")
+    p = command("inv", help="group inverse of a pair")
     p.add_argument("g")
     p.add_argument("f")
     p.set_defaults(handler=cmd_inv)
 
-    p = sub.add_parser("apply", parents=[common],
-                       help="coefficients of g*h(f), the action on a column vector")
+    p = command("apply", help="coefficients of g*h(f), the action on a column vector")
     p.add_argument("g")
     p.add_argument("f")
     p.add_argument("h")
     p.set_defaults(handler=cmd_apply)
 
-    p = sub.add_parser("az", parents=[common], help="A and Z sequences of a pair")
+    p = command("az", help="A and Z sequences of a pair")
     p.add_argument("g")
     p.add_argument("f")
     p.add_argument("--terms", type=int, default=8, help="sequence terms (default 8)")
     p.set_defaults(handler=cmd_az)
 
-    p = sub.add_parser("stochastic", parents=[common],
-                       help="stochastic pair built from g, with row sums")
+    p = command("stochastic", help="stochastic pair built from g, with row sums")
     p.add_argument("g")
     p.set_defaults(handler=cmd_stochastic)
 
-    p = sub.add_parser("pseudo", parents=[common], help="pseudo-involution tools")
+    p = command("pseudo", help="pseudo-involution tools")
     psub = p.add_subparsers(dest="subcommand", required=True)
+    subcommand = functools.partial(psub.add_parser, parents=[common], epilog=EPILOG)
 
-    q = psub.add_parser("from-g", parents=[common],
-                        help="the unique f making (g, f) a pseudo-involution")
+    q = subcommand("from-g", help="the unique f making (g, f) a pseudo-involution")
     q.add_argument("g")
     q.set_defaults(handler=cmd_pseudo_from_g)
 
-    q = psub.add_parser("check", parents=[common],
-                        help="PASS/FAIL pseudo-involution test for (g, f)")
+    q = subcommand("check", help="PASS/FAIL pseudo-involution test for (g, f)")
     q.add_argument("g")
     q.add_argument("f")
     q.set_defaults(handler=cmd_pseudo_check)
 
-    q = psub.add_parser("family", parents=[common],
-                        help="the four canonical pseudo-involutions sharing f")
+    q = subcommand("family", help="the four canonical pseudo-involutions sharing f")
     q.add_argument("f")
     q.set_defaults(handler=cmd_pseudo_family)
 
-    q = psub.add_parser("power", parents=[common],
-                        help="(g^n, f) from a pseudo-involution (g, f)")
+    q = subcommand("power", help="(g^n, f) from a pseudo-involution (g, f)")
     q.add_argument("g")
     q.add_argument("f")
     q.add_argument("n", type=int)
     q.set_defaults(handler=cmd_pseudo_power)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="recompute bundled fixtures and compare exactly")
+    p = command("verify", help="recompute bundled fixtures and compare exactly")
     p.add_argument("fixture", nargs="?", default="all",
                    help="fixture id, or 'all' (default)")
     p.set_defaults(handler=cmd_verify)

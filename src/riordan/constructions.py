@@ -111,7 +111,7 @@ def has_comp_order_two(F: TruncSeries) -> bool:
     """F(F(z)) = z to the available order."""
     if F.nums[0] or F.order < 2 or not F.nums[1]:
         return False
-    return F.compose(F).matches(TruncSeries.z(F.order))
+    return RiordanPair(TruncSeries.one(F.order), F).involution_failure() is None
 
 
 def family_from_f(f: TruncSeries) -> list[RiordanPair]:

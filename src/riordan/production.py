@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .arrays import RiordanPair
 from .errors import DegenerateZError, OrderError, ProprietyError
-from .series import TruncSeries
+from .series import TruncSeries, _push
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -33,12 +35,22 @@ def _require_terms(terms: int) -> None:
 
 
 def production_matrix(pair: RiordanPair, rows: int, cols: int | None = None) -> Matrix:
-    """rows x cols block (cols defaults to rows) of L^-1 times (L with its
-    first row removed).
+    """rows x cols block (cols defaults to rows) of the production matrix P,
+    the solution of L P = (L with its first row removed).
 
     The product is not triangular: nonzero entries reach one column past
     the diagonal, so row n has entries up to column n + 1.
+
+    Each column of P is solved by forward substitution on one expansion L
+    of rows + 1 rows, never inverting the pair: L is lower triangular with
+    diagonal g_0*f_1^n, so
+    P[n][k] = (L[n+1][k] - sum_(j<n) L[n][j]*P[j][k]) / L[n][n].  The
+    columns of L are scaled to one denominator, which cancels, and each
+    column of P is kept as numerators over their least common denominator,
+    as ``_div`` keeps its quotient: one dot product and one gcd per entry.
     """
+    if rows < 1:
+        raise OrderError(f"rows must be positive, got {rows}")
     if not pair.proper:
         raise ProprietyError("production matrix requires a proper pair")
     if rows + 1 > pair.available_order:
@@ -46,27 +58,28 @@ def production_matrix(pair: RiordanPair, rows: int, cols: int | None = None) -> 
             f"production matrix with {rows} rows needs order {rows + 1}, "
             f"have {pair.available_order}"
         )
-    pair = pair.truncate(rows + 1)
-    shifted = pair.expand(rows + 1).rows[1:]
-    inv = pair.inverse().expand(rows).rows
-    out = []
-    for n in range(rows):
-        row = []
-        for k in range(rows if cols is None else cols):
-            acc = Fraction(0)
-            for j in range(max(k - 1, 0), n + 1):
-                acc += inv[n][j] * shifted[j][k]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = rows if cols is None else cols
+    columns = pair.expand(rows + 1).columns
+    D = lcm(*[col.den for col in columns])
+    # the rows of L over D, padded with the columns past rows + 1, which
+    # vanish in every row of the block
+    L = list(zip(*[[x * (D // col.den) for x in col.nums] for col in columns],
+                 *[[0] * (rows + 1)] * (cols - rows - 1)))
+    P = []
+    for k in range(cols):
+        Q: list[int] = []
+        d = 1
+        for n in range(rows):
+            num = L[n + 1][k] * d - sum(map(mul, L[n], Q))
+            d = _push(Q, d, num, d * L[n][n])
+        P.append((Q, d))
+    return tuple(tuple(Fraction(Q[n], d) for Q, d in P) for n in range(rows))
 
 
 def az_from_production(pair: RiordanPair, terms: int) -> SeqReport:
     """Z as column 0 and A as column 1 of the production matrix."""
     _require_terms(terms)
-    P = production_matrix(pair, terms, 2)
-    z_seq = tuple(P[j][0] for j in range(terms))
-    a_seq = tuple(P[j][1] for j in range(terms))
+    z_seq, a_seq = zip(*production_matrix(pair, terms, 2))
     return SeqReport(a_seq=a_seq, z_seq=z_seq, terms=terms)
 
 
@@ -135,15 +148,10 @@ def recurrence_check(pair: RiordanPair, report: SeqReport, rows: int) -> bool:
     a_seq, z_seq = report.a_seq, report.z_seq
     for n in range(rows - 1):
         # column 0 needs z_0..z_n
-        if n + 1 <= len(z_seq):
-            total = sum((z_seq[j] * L[n][j] for j in range(n + 1)), Fraction(0))
-            if total != L[n + 1][0]:
-                return False
-        for k in range(n + 1):
-            # entry (n+1, k+1) needs a_0..a_{n-k}
-            if n - k + 1 > len(a_seq):
-                continue
-            total = sum((a_seq[j] * L[n][k + j] for j in range(n - k + 1)), Fraction(0))
-            if total != L[n + 1][k + 1]:
+        if n + 1 <= len(z_seq) and sum(map(mul, z_seq, L[n])) != L[n + 1][0]:
+            return False
+        # entry (n+1, k+1) needs a_0..a_{n-k}
+        for k in range(max(n + 1 - len(a_seq), 0), n + 1):
+            if sum(map(mul, a_seq, L[n][k:])) != L[n + 1][k + 1]:
                 return False
     return True

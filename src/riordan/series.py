@@ -196,9 +196,12 @@ def _columns(G: Sequence[int], dg: int, F: Sequence[int], df: int, n: int,
 
 
 def _push(nums: list[int], d: int, p: int, q: int) -> int:
-    """Append p/q (q > 0, in lowest terms) to the numerators ``nums`` over the
-    common denominator d and return the new common denominator, rescaling
-    ``nums`` if it grew."""
+    """Append p/q (q != 0) to the numerators ``nums`` over the common
+    denominator d and return the new common denominator, rescaling ``nums``
+    if it grew.  p/q is reduced first, with one gcd, so a least common
+    denominator stays one."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    p, q = p // g, q // g
     f = q // gcd(d, q)
     if f > 1:
         d *= f
@@ -227,9 +230,7 @@ def _div(A: Sequence[int], da: int, B: Sequence[int], db: int,
     L = 1
     for k in range(n):
         num = A[k] * L * db - da * sum(map(mul, tail, reversed(Q)))
-        den = da * L * b0
-        g = gcd(num, den) if den > 0 else -gcd(num, den)
-        L = _push(Q, L, num // g, den // g)
+        L = _push(Q, L, num, da * L * b0)
     return Q, L
 
 
@@ -563,9 +564,7 @@ class TruncSeries:
         R, L = [p], q
         for k in range(1, self.order):
             num = C[k] * L * L - dc * sum(map(mul, islice(R, 1, None), reversed(R)))
-            den = 2 * R[0] * dc * L
-            g = gcd(num, den)
-            L = _push(R, L, num // g, den // g)
+            L = _push(R, L, num, 2 * R[0] * dc * L)
         return _make(R, L)
 
     def derivative(self) -> TruncSeries:

@@ -347,6 +347,16 @@ def test_appell_geometric_is_not_pseudo_involution():
     assert pair.pseudo_involution_failure(16) == 2
 
 
+@pytest.mark.parametrize("check", ["involution_failure", "pseudo_involution_failure",
+                                   "is_involution", "is_pseudo_involution"])
+def test_involution_checks_reject_stretched(check):
+    with pytest.raises(ProprietyError, match="check requires a proper pair"):
+        getattr(stretched_lucas(), check)()
+    # f = 0 at order 1 has no linear term to read
+    with pytest.raises(ProprietyError):
+        getattr(RiordanPair(TruncSeries.one(1), TruncSeries.zero(1)), check)()
+
+
 def test_check_order_exceeding_available():
     with pytest.raises(OrderError):
         pascal(8).is_pseudo_involution(9)

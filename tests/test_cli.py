@@ -64,6 +64,16 @@ def test_show_takes_a_leading_minus_after_double_dash(capsys):
     assert "after '--'" in cli.build_parser().format_help()
 
 
+@pytest.mark.parametrize("argv", [["show", "-h"], ["pseudo", "from-g", "-h"]],
+                         ids=["show", "pseudo-from-g"])
+def test_command_help_says_where_a_leading_minus_goes(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        cli.main(argv)
+    assert done.value.code == 0
+    # argparse rewraps the epilog to the terminal width
+    assert " ".join(cli.EPILOG.split()) in " ".join(capsys.readouterr().out.split())
+
+
 def test_show_lucas_pi_closed_form(capsys):
     f_expr = "(1-z-z^2-sqrt(z^4+10*z^3-13*z^2-10*z+1))/(4-2*z)"
     code, out, _ = run(capsys, "show", "(1+z^2)/(1-z-z^2)", f_expr,
@@ -267,6 +277,15 @@ def test_pseudo_check_fail_reports_order(capsys):
     code, out, _ = run(capsys, "pseudo", "check", "1/(1-z)", "z")
     assert code == 1
     assert out.strip() == "FAIL at order 2"
+
+
+@pytest.mark.parametrize("pair", [["1", "z^2"], ["1", "0", "--order", "1"]],
+                         ids=["stretched", "order-1"])
+def test_pseudo_check_rejects_an_improper_pair(capsys, pair):
+    code, out, err = run(capsys, "pseudo", "check", *pair)
+    assert code == 3
+    assert out == ""
+    assert err == "error: pseudo-involution check requires a proper pair (f'(0) != 0)\n"
 
 
 def test_pseudo_family(capsys):

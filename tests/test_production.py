@@ -20,11 +20,12 @@ from riordan import (
     production_matrix,
     pseudo_from_g,
     recurrence_check,
+    series,
     stochastic_from_g,
     subgroup_element,
 )
 
-from conftest import random_proper_pair, tri_product
+from conftest import random_fraction, random_proper_pair, tri_product
 
 N = 32
 
@@ -44,6 +45,23 @@ def fracs(texts):
     return tuple(Fraction(t) for t in texts)
 
 
+def rational_pair(seed, order=8):
+    """Rational coefficients with g_0 and f_1 not 0 or +-1, so the diagonal
+    g_0*f_1^n of the expansion divides and its columns have different
+    denominators."""
+    rng = random.Random(seed)
+
+    def lead():
+        while True:
+            x = random_fraction(rng, 4, 3)
+            if x not in (0, 1, -1):
+                return x
+
+    g = [lead()] + [random_fraction(rng, 3, 4) for _ in range(order - 1)]
+    f = [0, lead()] + [random_fraction(rng, 3, 4) for _ in range(order - 2)]
+    return RiordanPair(TruncSeries(g), TruncSeries(f))
+
+
 # ---- production matrix ----
 
 def test_pascal_production_columns():
@@ -52,9 +70,10 @@ def test_pascal_production_columns():
     assert [P[j][1] for j in range(6)] == [1, 1, 0, 0, 0, 0]
 
 
-def test_pascal_production_oracle():
+@pytest.mark.parametrize("seed", ["pascal", 1, 2, 3, 4, 5, 6])
+def test_pascal_production_oracle(seed):
     # definition replayed with the plain-loop product: L^-1 times shifted L
-    pair = pascal()
+    pair = pascal() if seed == "pascal" else rational_pair(seed)
     rows = 6
     inv_rows = [list(r) for r in pair.inverse().expand(rows).rows]
     shifted = [list(r) for r in pair.expand(rows + 1).rows[1:]]
@@ -66,6 +85,28 @@ def test_pascal_production_oracle():
         for n in range(rows)
     ]
     assert [list(r) for r in production_matrix(pair, rows)] == oracle
+
+
+def test_production_matrix_does_not_invert_the_pair(monkeypatch):
+    # the matrix route checks reversion and composition with other code
+    pair = pseudo_from_g(named_series("lucas", N))
+    by_series = az_from_series(pair, 8)
+
+    def refuse(*args):
+        raise AssertionError("the production-matrix route inverted the pair")
+
+    monkeypatch.setattr(RiordanPair, "inverse", refuse)
+    monkeypatch.setattr(TruncSeries, "reverse", refuse)
+    monkeypatch.setattr(TruncSeries, "compose", refuse)
+    monkeypatch.setattr(series, "_compose_many", refuse)
+    monkeypatch.setattr(series, "_div", refuse)
+    assert az_from_production(pair, 8) == by_series
+
+
+@pytest.mark.parametrize("rows", [0, -1])
+def test_production_rejects_nonpositive_rows(rows):
+    with pytest.raises(OrderError, match=f"rows must be positive, got {rows}"):
+        production_matrix(pascal(), rows)
 
 
 def test_identity_production_is_shift():

@@ -34,5 +34,6 @@ def test_bench_layers_runs():
     assert list(seconds) == ["16"]
     assert sorted(seconds["16"]) == sorted([
         "f.compose(-f)", "f.reverse()", "pseudo_from_g(lucas)", "p.inverse()",
-        "p.pseudo_involution_failure()", "p.expand(n)", "q.expand(n)", "cli show"])
+        "p.pseudo_involution_failure()", "az_from_production(p, n-1)",
+        "az_from_series(p, n-1)", "p.expand(n)", "q.expand(n)", "cli show"])
     assert all(s > 0 for s in seconds["16"].values())
